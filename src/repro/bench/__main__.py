@@ -8,14 +8,12 @@ Usage::
     python -m repro.bench fig11 --seed 7
     python -m repro.bench run --workload DV3-Small --scale 0.05 \\
         --workers 4 --txlog results/run.jsonl
-    python -m repro.bench perf --workload smoke --out BENCH_perf.json
 
 Each command runs the corresponding experiment driver and prints the
 paper-style report (optionally archiving it under ``--out``).  The
 ``run`` command executes a single scheduler run and can persist its
-transaction log for ``python -m repro.obs``.  The ``perf`` command is
-the wall-clock benchmark harness (its options live in
-:mod:`repro.bench.perf`; it parses its own argv).
+transaction log for ``python -m repro.obs``.  The simulator's own
+wall-clock benchmark is ``benchmarks/ledger`` (see its README).
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from typing import Callable, Dict, Optional
 from ..sim.viz import render_heatmap, render_timeline
 from . import experiments as ex
 from .report import format_series, format_table, write_report
+from .workloads import positive
 
 
 def _table1(args) -> str:
@@ -257,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command",
                         choices=sorted(COMMANDS) + ["list", "all"],
                         help="which experiment to run")
-    parser.add_argument("--workers", type=int, default=200,
+    parser.add_argument("--workers", type=positive(int), default=200,
                         help="workers for the stack experiments "
                              "(default: the paper's 200)")
     parser.add_argument("--seed", type=int, default=11)
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--scheduler", default="taskvine",
                        choices=("taskvine", "workqueue",
                                 "dask.distributed"))
-    group.add_argument("--scale", type=float, default=1.0,
+    group.add_argument("--scale", type=positive(float), default=1.0,
                        help="scale n_tasks and input bytes by this "
                             "factor (e.g. 0.05 for a smoke run)")
     group.add_argument("--txlog", default=None,
@@ -281,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inject a repro.chaos fault scenario into "
                             "the run (recorded in the txlog RUN "
                             "header; see `python -m repro.chaos list`)")
-    group.add_argument("--tenants", type=int, default=0, metavar="N",
+    group.add_argument("--tenants", type=positive(int, zero_ok=True),
+                       default=0, metavar="N",
                        help="run the workload as N concurrent tenants "
                             "through the shared facility (recorded in "
                             "the txlog RUN header; 0 = single-tenant)")
@@ -298,24 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["perf"]:
-        # the perf harness has its own option set (labels, schema
-        # check, per-workload subprocesses); hand it the rest of argv
-        from .perf import main as perf_main
-        return perf_main(argv[1:])
-    if argv[:1] == ["sentinel"]:
-        # regression detection over BENCH_perf.json captures; its exit
-        # code is the verdict (0 ok, 3 regression, 2 usage error)
-        from .sentinel import main as sentinel_main
-        return sentinel_main(argv[1:])
     args = build_parser().parse_args(argv)
     # SIGTERM/SIGINT flush + terminate any open txlog so a stopped
     # run never leaves an unterminated tail behind (repro.obs.txlog)
     from ..obs.txlog import install_signal_handlers
     install_signal_handlers()
     if args.command == "list":
-        for name in sorted([*COMMANDS, "perf", "sentinel"]):
+        for name in sorted(COMMANDS):
             print(name)
         return 0
     if args.command == "all":  # every figure/table; not the ad-hoc run

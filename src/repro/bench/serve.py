@@ -9,8 +9,7 @@ runtime-discovered-output futures end to end.
 ``restore_latency_rows`` is the EXPERIMENTS.md harness: checkpoint a
 campaign at increasing backlog sizes and measure the wall-clock cost
 of ``restore_service`` (checkpoint parse + composite rebuild + cache
-re-reservation), the serve counterpart of the batch wall-clock
-benches in :mod:`repro.bench.perf`.
+re-reservation).
 """
 
 from __future__ import annotations

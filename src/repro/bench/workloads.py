@@ -30,6 +30,7 @@ __all__ = [
     "replay_schedule",
     "make_schedule",
     "build_arrivals",
+    "positive",
 ]
 
 
@@ -250,6 +251,23 @@ def make_schedule(spec: str, tenant_names: Sequence[str],
         return replay_schedule(pairs)
     raise ValueError(f"unknown arrival process {spec!r}; expected "
                      f"poisson:RATE, burst[:SPACING], or replay:PATH")
+
+
+def positive(kind: Callable = int, zero_ok: bool = False) -> Callable:
+    """An argparse ``type=`` for worker, tenant and submission counts
+    and workload scales: parses ``kind`` and accepts only finite values
+    > 0 (>= 0 with ``zero_ok``), so a bad value exits 2 at parse time
+    instead of failing mid-run."""
+    def parse(text: str):
+        value = kind(text)
+        if math.isfinite(value) and (value > 0 or (zero_ok and value == 0)):
+            return value
+        # imported here so simulations never load argparse
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(
+            f"must be {'>= 0' if zero_ok else '> 0'}, got {text!r}")
+    parse.__name__ = kind.__name__  # argparse's "invalid int value"
+    return parse
 
 
 def build_arrivals(schedule: Sequence[Tuple[float, str]],

@@ -31,7 +31,7 @@ from typing import Optional
 from ..bench import calibration as cal
 from ..bench.report import format_table, write_report
 from ..bench.runners import build_environment, run_scheduler
-from ..bench.workloads import build_workflow
+from ..bench.workloads import build_workflow, positive
 from ..hep.datasets import TABLE2
 from .inject import estimate_horizon
 from .scenario import SCENARIOS, get_scenario
@@ -180,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workload", default="DV3-Small",
                         help="Table II configuration "
                              "(case-insensitive)")
-    parser.add_argument("--workers", type=int, default=60)
+    parser.add_argument("--workers", type=positive(int), default=60)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=positive(float), default=1.0,
                         help="scale n_tasks and input bytes")
     parser.add_argument("--intensities", default="0.5,1.0,1.5,2.0",
                         help="comma-separated scale factors for sweep")

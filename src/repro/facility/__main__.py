@@ -15,7 +15,8 @@ identical idle cluster (skip with ``--no-baseline``).
 Exit codes (the :mod:`repro.obs` CLI convention):
 
 * 0 -- the campaign completed; every admitted submission finished.
-* 2 -- unreadable input (unknown workload, bad arrival replay file).
+* 2 -- unreadable input (unknown workload, bad arrival replay file,
+  a count or scale out of range).
 * 3 -- the campaign ran but did not complete.
 """
 
@@ -29,7 +30,7 @@ from typing import Optional
 
 from ..bench.runners import build_environment, run_scheduler
 from ..bench.workloads import build_arrivals, build_workflow, \
-    make_schedule
+    make_schedule, positive
 from ..bench import calibration as cal
 from ..hep.datasets import TABLE2
 from ..obs.txlog import install_signal_handlers
@@ -49,13 +50,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "manager and print the fairness/SLO report.",
         epilog="exit codes: 0 completed, 2 unreadable input, "
                "3 campaign incomplete")
-    parser.add_argument("--tenants", type=int, default=4,
+    parser.add_argument("--tenants", type=positive(int), default=4,
                         help="number of concurrent tenants (default 4)")
     parser.add_argument("--arrival", default="poisson:0.05",
                         help="arrival process: poisson:RATE, "
                              "burst[:SPACING], replay:PATH "
                              "(default poisson:0.05)")
-    parser.add_argument("--submissions", type=int, default=1,
+    parser.add_argument("--submissions", type=positive(int), default=1,
                         help="submissions per tenant (default 1)")
     parser.add_argument("--discipline", default="wfs",
                         choices=("wfs", "fifo", "priority"),
@@ -63,9 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workload", default="DV3-Small",
                         help="Table II configuration (default "
                              "DV3-Small)")
-    parser.add_argument("--scale", type=float, default=0.05,
+    parser.add_argument("--scale", type=positive(float), default=0.05,
                         help="scale n_tasks/input bytes (default 0.05)")
-    parser.add_argument("--workers", type=int, default=8)
+    parser.add_argument("--workers", type=positive(int), default=8)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--inflight-quota", type=int, default=None,
                         help="per-tenant inflight-task quota "

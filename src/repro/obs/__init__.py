@@ -15,8 +15,6 @@ The measurement substrate for every scheduler stack (Table 1):
   critical-path chain attribution over the event stream.
 * :mod:`repro.obs.export` -- Chrome ``trace_event`` (Perfetto) and
   Prometheus text-exposition exporters.
-* :mod:`repro.obs.profile` -- sampling profiler attributing simulator
-  *wall* time (not sim time) to kernel phases.
 * :mod:`repro.obs.live` -- streaming analyzer: the same sections,
   updated per event, with a streaming == batch guarantee
   (``python -m repro.obs watch``).
@@ -28,7 +26,7 @@ The measurement substrate for every scheduler stack (Table 1):
 This ``__init__`` deliberately imports only the dependency-free modules
 so the schedulers can import :data:`NULL_BUS` without dragging in the
 benchmark harness; :mod:`repro.obs.analyze`, :mod:`repro.obs.trace`,
-:mod:`repro.obs.export` and :mod:`repro.obs.profile` load lazily.
+:mod:`repro.obs.export` and the live/SLO/diff modules load lazily.
 """
 
 from .events import (
@@ -66,8 +64,6 @@ __all__ = [
     # lazily resolved from repro.obs.export:
     "chrome_trace", "write_chrome_trace", "prometheus_exposition",
     "registry_from_txlog",
-    # lazily resolved from repro.obs.profile:
-    "PhaseProfiler", "format_profile",
     # lazily resolved from repro.obs.live / .slo / .diff:
     "LiveAnalyzer", "NULL_LIVE_ANALYZER",
     "SLORule", "SLOPolicy", "SLOMonitor", "NULL_SLO_MONITOR",
@@ -87,7 +83,6 @@ _LAZY_MODULES = {
     **{name: "export" for name in (
         "chrome_trace", "write_chrome_trace", "prometheus_exposition",
         "registry_from_txlog")},
-    **{name: "profile" for name in ("PhaseProfiler", "format_profile")},
     **{name: "live" for name in (
         "LiveAnalyzer", "NullLiveAnalyzer", "NULL_LIVE_ANALYZER")},
     **{name: "slo" for name in (

@@ -15,8 +15,8 @@ Usage::
 Reads a transaction log written by ``repro.obs.txlog`` (see
 ``python -m repro.bench run --txlog ...``) and prints the straggler,
 transfer-hotspot, cache-pressure and critical-path reports -- as
-terminal tables, or as one JSON document with ``--json`` so CI and the
-perf sentinel can consume the same analyses machine-readably.
+terminal tables, or as one JSON document with ``--json`` so CI and
+other tools can consume the same analyses machine-readably.
 
 Exit codes: ``0`` report produced; ``2`` the log is unreadable or
 empty; ``3`` (with ``--strict``) the log's run did not complete --

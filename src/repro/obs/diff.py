@@ -1,7 +1,7 @@
 """Differential run diagnosis: *why* did this run get slower?
 
-The sentinel (PR 6) detects that a workload regressed; this module
-explains it.  :func:`diff_runs` aligns two runs of the same workload
+A benchmark says *that* a workload got slower; this module explains
+it.  :func:`diff_runs` aligns two runs of the same workload
 -- two transaction logs, span builders, or record lists -- task by
 task (task ids are deterministic per workload, so identity alignment
 is exact), decomposes every task's final successful attempt into the
@@ -15,9 +15,8 @@ chain uses, and attributes the makespan delta:
 * **per worker / per file** -- a single slow node or a single hot
   file shows up here, not in the aggregates.
 
-:func:`explain_diff` compresses the result into the one-line verdict
-the sentinel prints next to a regression ("execute flat,
-schedule-wait +38%, concentrated in reduce-2"), and
+:func:`explain_diff` compresses the result into a one-line verdict
+("execute flat, schedule-wait +38%, concentrated in reduce-2"), and
 :func:`render_diff` is the full terminal report behind
 ``python -m repro.obs diff A.jsonl B.jsonl``.
 

@@ -19,7 +19,8 @@ the checkpoint's embedded recipe and resumes at epoch N+1.
 Exit codes (the :mod:`repro.obs` CLI convention):
 
 * 0 -- run/restore completed; every submission serviced.
-* 2 -- unreadable input (missing/corrupt checkpoint).
+* 2 -- unreadable input (missing/corrupt checkpoint, a count or
+  scale out of range).
 * 3 -- the campaign did not complete (DNF).
 * 137 -- ``--exit-after-tasks`` fired (simulated SIGKILL).
 """
@@ -35,6 +36,7 @@ from typing import Optional
 
 from ..bench.runners import build_environment
 from ..bench.serve import serve_campaign
+from ..bench.workloads import positive
 from ..facility.report import fairness_summary
 from ..obs.txlog import install_signal_handlers
 from .checkpoint import (CheckpointError, load_checkpoint,
@@ -63,15 +65,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="drive a campaign through the "
                                      "live service")
-    run.add_argument("--tenants", type=int, default=4)
-    run.add_argument("--submissions", type=int, default=2,
+    run.add_argument("--tenants", type=positive(int), default=4)
+    run.add_argument("--submissions", type=positive(int), default=2,
                      help="submissions per tenant (default 2)")
     run.add_argument("--workload", default="DV3-Small")
-    run.add_argument("--scale", type=float, default=0.02)
+    run.add_argument("--scale", type=positive(float), default=0.02)
     run.add_argument("--arrival", default="burst",
                      help="poisson:RATE | burst[:SPACING] | "
                           "replay:PATH (default burst)")
-    run.add_argument("--workers", type=int, default=4)
+    run.add_argument("--workers", type=positive(int), default=4)
     run.add_argument("--seed", type=int, default=11)
     run.add_argument("--discipline", default="wfs",
                      choices=("wfs", "fifo", "priority"))

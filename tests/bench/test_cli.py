@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.bench.__main__ import COMMANDS, build_parser, main
+from repro.chaos.__main__ import main as chaos_main
 
 
 class TestParser:
@@ -22,6 +23,26 @@ class TestParser:
         assert args.workers == 200
         assert args.seed == 11
         assert args.out is None
+
+    def test_zero_tenants_means_single_tenant(self):
+        assert build_parser().parse_args(
+            ["run", "--tenants", "0"]).tenants == 0
+
+    @pytest.mark.parametrize("cli,argv", [
+        ("bench", ["run", "--workers", "0"]),
+        ("bench", ["table1", "--workers", "-3"]),
+        ("bench", ["run", "--scale", "-1"]),
+        ("bench", ["run", "--scale", "0"]),
+        ("bench", ["run", "--scale", "nan"]),
+        ("bench", ["run", "--tenants", "-1"]),
+        ("chaos", ["run", "--workers", "0"]),
+        ("chaos", ["run", "--scale", "-1"]),
+    ])
+    def test_out_of_range_number_exits_two(self, capsys, cli, argv):
+        with pytest.raises(SystemExit) as exc:
+            {"bench": main, "chaos": chaos_main}[cli](argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}: must be" in capsys.readouterr().err
 
 
 class TestExecution:

@@ -11,7 +11,7 @@ import pytest
 from repro.bench import experiments as ex
 
 
-@pytest.fixture(autouse=True)
+@pytest.fixture(scope="module", autouse=True)
 def fresh_cache():
     ex._STACK_CACHE.clear()
     yield

@@ -40,6 +40,15 @@ class TestExitCodes:
         assert code == EXIT_UNREADABLE
         assert "unknown workload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--workers", "0"), ("--scale", "-1"), ("--tenants", "0"),
+        ("--submissions", "0")])
+    def test_out_of_range_number_exits_two(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(FAST + [flag, value])
+        assert exc.value.code == EXIT_UNREADABLE
+        assert f"argument {flag}: must be > 0" in capsys.readouterr().err
+
     def test_bad_arrival_replay_exits_two(self, capsys):
         code = main(FAST + ["--arrival", "replay:/does/not/exist"])
         assert code == EXIT_UNREADABLE

@@ -13,9 +13,12 @@ import dataclasses
 
 import pytest
 
+from repro.bench import calibration as cal
 from repro.bench.runners import build_environment, run_scheduler
+from repro.bench.serve import serve_campaign
 from repro.bench.workloads import build_workflow
 from repro.chaos.scenario import PreemptionStorm, Scenario
+from repro.facility import Facility
 from repro.hep.datasets import TABLE2
 from repro.obs.slo import SLOPolicy
 from repro.obs.txlog import read_records
@@ -73,23 +76,32 @@ def chaos_txlog(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def facility8_txlog(tmp_path_factory):
-    """The pinned facility-8 perf workload (8 tenants, one manager)."""
-    from repro.bench.perf import _facility_8
-
+    """8 tenants share one manager: DV3-Small x0.25 on 24 workers,
+    one Poisson-arriving submission each."""
     path = str(tmp_path_factory.mktemp("txlogs") / "facility8.jsonl")
-    _facility_8(11, txlog_path=path)
+    tenants, arrivals = serve_campaign(
+        n_tenants=8, per_tenant=1, workload="DV3-Small", scale=0.25,
+        arrival="poisson:0.05", seed=11)
+    result = Facility(build_environment(24, seed=11), tenants,
+                      txlog_path=path).run(arrivals)
+    result.run.raise_for_status()
     return path
 
 
 @pytest.fixture(scope="session")
 def fig14b_txlog(tmp_path_factory):
-    """DV3-Large at 200 workers: the fig14b-2400 txlog (the perf
-    harness logs this dominant component; see
-    ``repro.bench.perf._fig14b_2400``)."""
-    from repro.bench.perf import _taskvine_run
-
+    """DV3-Large at 200 workers with function calls: the dominant
+    component of the 2400-core Fig 14b point."""
     path = str(tmp_path_factory.mktemp("txlogs") / "fig14b.jsonl")
-    _taskvine_run("DV3-Large", 200, 7, txlog_path=path)
+    spec = TABLE2["DV3-Large"]
+    env = build_environment(
+        200, node=cal.campus_node(disk=spec.worker_disk,
+                                  ram=spec.worker_ram), seed=7)
+    workflow = build_workflow(spec, arity=cal.REDUCTION_ARITY, seed=7)
+    result = run_scheduler(env, workflow, "taskvine",
+                           cal.TASKVINE_FUNCTIONS_CONFIG,
+                           txlog_path=path)
+    result.raise_for_status()
     return path
 
 

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.bench.runners import build_environment, run_scheduler
+from repro.bench.stacks import run_stack
 from repro.bench.workloads import build_workflow
 from repro.hep.datasets import TABLE2
 from repro.obs.events import NULL_BUS, NullBus
@@ -143,7 +144,8 @@ class TestNoAllocStubs:
 
 
 def fig14b_run(with_noop_consumers: bool) -> float:
-    """One fig14b-2400 run; returns wall seconds.
+    """One 2400-core Fig 14b run (DV3-Large and RS-TriPhoton on
+    Stack 4, 200 workers); returns wall seconds.
 
     ``with_noop_consumers`` takes the live-consumer no-op path: a
     live analyzer and an SLO monitor are installed exactly as
@@ -151,8 +153,6 @@ def fig14b_run(with_noop_consumers: bool) -> float:
     resolve to the shared null stubs and the run must not fold a
     single event.
     """
-    from repro.bench.perf import _fig14b_2400
-
     live = monitor = None
     if with_noop_consumers:
         live = LiveAnalyzer.install(NULL_BUS)
@@ -161,9 +161,10 @@ def fig14b_run(with_noop_consumers: bool) -> float:
         assert live is NULL_LIVE_ANALYZER
         assert monitor is NULL_SLO_MONITOR
     t0 = time.perf_counter()
-    stats = _fig14b_2400(3)
+    for name in ("DV3-Large", "RS-TriPhoton"):
+        run_stack(4, spec=TABLE2[name], n_workers=200,
+                  seed=3).raise_for_status()
     wall = time.perf_counter() - t0
-    assert stats["tasks"] > 0
     if live is not None:
         assert live.progress() == {} and monitor.alerts == ()
     return wall

@@ -46,6 +46,16 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert "workload" in proc.stderr.lower()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--workers", "0"), ("--scale", "-1"), ("--tenants", "0"),
+        ("--submissions", "0")])
+    def test_out_of_range_number_exits_two(self, tmp_path, flag, value):
+        proc = _serve(tmp_path, "run", *SMALL, flag, value,
+                      "--txlog", "run.jsonl")
+        assert proc.returncode == 2
+        assert f"argument {flag}: must be > 0" in proc.stderr
+        assert not (tmp_path / "run.jsonl").exists()
+
     def test_exit_after_tasks_dies_with_137(self, tmp_path):
         proc = _serve(tmp_path, "run", *SMALL,
                       "--txlog", "run.jsonl",
