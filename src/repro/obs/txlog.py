@@ -90,6 +90,9 @@ class TransactionLog:
             # batch-run headers are byte-identical to earlier schemas.
             header["epoch"] = int(epoch)
         header.update(meta or {})
+        #: the RUN record as written; it never crosses the bus, so
+        #: bus-fed folds of this log seed themselves with it
+        self.header = header
         self._write(header)
         _OPEN_LOGS.add(self)
 
@@ -109,15 +112,6 @@ class TransactionLog:
         """Subscribe to every event the bus publishes."""
         bus.subscribe_all(self._on_event)
         return self
-
-    def stamp_checkpoint(self, t: float, **fields) -> None:
-        """Append a CHECKPOINT record (repro.serve state snapshot)."""
-        self.record(ev.CHECKPOINT, t, **fields)
-
-    def stamp_restore(self, t: float, **fields) -> None:
-        """Append a RESTORE record linking this epoch to its parent
-        checkpoint."""
-        self.record(ev.RESTORE, t, **fields)
 
     def _write(self, row: dict) -> None:
         line = json.dumps(row, separators=(",", ":"), default=_coerce)
@@ -296,28 +290,27 @@ class TailReader:
         chunk = self._fh.read()
         if not chunk and not self._buf:
             return []
-        self._buf += chunk
+        buf = self._buf + chunk
+        # one split per poll, not one buffer copy per line: the
+        # unterminated remainder becomes the new buffer
+        *lines, self._buf = buf.split(b"\n")
+        status = self.status
+        status.cut_offset += len(buf) - len(self._buf)
         out: List[dict] = []
-        while True:
-            newline = self._buf.find(b"\n")
-            if newline < 0:
-                break
-            line = self._buf[:newline]
-            self._buf = self._buf[newline + 1:]
-            self.status.cut_offset += newline + 1
+        for line in lines:
             stripped = line.strip()
             if not stripped:
                 continue
             try:
                 record = json.loads(stripped)
             except json.JSONDecodeError:
-                self.status.skipped += 1
+                status.skipped += 1
                 continue
-            self.status.records += 1
+            status.records += 1
             if record.get("type") == ev.RUN_END:
-                self.status.complete = True
+                status.complete = True
             out.append(record)
-        self.status.partial_tail = bool(self._buf)
+        status.partial_tail = bool(self._buf.strip())
         return out
 
     def close(self) -> None:

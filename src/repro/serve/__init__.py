@@ -10,9 +10,10 @@ declared (runtime-discovered outputs).
 
 Durability rides the transaction log: the service writes with
 autoflush and an epoch header, :meth:`FacilityService.checkpoint`
-stamps a quiescent CHECKPOINT record plus a JSON sidecar folded from
-the log itself, and :func:`restore_service` resumes a killed
-campaign at epoch N+1 without re-executing committed work.
+stamps a quiescent CHECKPOINT record plus a JSON sidecar folded live
+from the event stream the log records, and :func:`restore_service`
+resumes a killed campaign at epoch N+1 without re-executing committed
+work.
 
 CLI: ``python -m repro.serve run|restore`` (see ``--help``).
 """

@@ -6,13 +6,21 @@ halves:
 
 * a CHECKPOINT record stamped into the service's transaction log --
   the durable marker later analysis and the restore chain key on, and
-* a JSON sidecar whose restore state is **derived by folding the
-  txlog itself** (:class:`CheckpointFolds`, embedding the analyzer's
-  :class:`~repro.obs.analyze.Folds`): committed tasks from TASK_DONE
-  records, per-node cache residency from CACHE_PUT/CACHE_EVICT,
-  runtime-discovered outputs from OUTPUT_DISCOVERED.  What the log
-  replays is what the checkpoint restores -- there is no second
-  source of truth for execution state.
+* a compact JSON sidecar whose restore state is **folded from the
+  event stream the txlog records** (:class:`CheckpointFolds`,
+  embedding the analyzer's :class:`~repro.obs.analyze.Folds`):
+  committed tasks from TASK_DONE, per-node cache residency from
+  CACHE_PUT/CACHE_EVICT, runtime-discovered outputs from
+  OUTPUT_DISCOVERED.  What the log replays is what the checkpoint
+  restores -- there is no second source of truth for execution state.
+
+Each service owns one fold for its whole lifetime, seeded with the
+log's RUN header (which never crosses the bus) and then subscribed to
+the bus behind the log, so it sees every record the log writes, in
+order.  A checkpoint therefore costs the state it saves, not a re-read
+of the log written so far; :meth:`CheckpointFolds.feed` over
+:func:`~repro.obs.txlog.read_records` is the batch reference the live
+fold is tested against.
 
 The sidecar additionally journals each submission's DAG (tasks,
 files, dynamic outputs) and admission timeline, because the txlog
@@ -41,7 +49,6 @@ from ..core.spec import SimTask, SimWorkflow
 from ..facility.tenant import Admitted, Queued
 from ..obs import events as ev
 from ..obs.analyze import Folds
-from ..obs.txlog import read_records
 from .futures import SubmissionFuture
 
 __all__ = [
@@ -100,7 +107,7 @@ def workflow_from_dict(data: dict) -> SimWorkflow:
 
 # -- folding the log ----------------------------------------------------------
 class CheckpointFolds:
-    """Restore state folded from one epoch's transaction log.
+    """Restore state folded from one epoch's event stream.
 
     Embeds the analyzer's :class:`Folds` (same per-record handlers
     the batch/live analyzers run, so the checkpoint's ``analyzer``
@@ -108,6 +115,10 @@ class CheckpointFolds:
     adds the three folds restore needs that the analyzer's bounded
     aggregates deliberately forget: the committed-task map, per-node
     cache residency, and runtime-discovered outputs.
+
+    Feed it live with :meth:`on_event` (the bus-subscriber entry
+    point) or from parsed txlog records with :meth:`add` /
+    :meth:`feed`; both reach the same fold.
     """
 
     def __init__(self):
@@ -119,27 +130,31 @@ class CheckpointFolds:
         #: OUTPUT_DISCOVERED records: {task, file, nbytes}
         self.discovered: List[dict] = []
 
-    def add(self, record: dict) -> None:
-        self.folds.add(record)
-        rtype = record.get("type")
-        if rtype == ev.CACHE_PUT:
-            name = record.get("file")
+    def on_event(self, type: str, t: float, fields: dict) -> None:
+        """Fold one event (the bus-subscriber entry point)."""
+        self.folds.records += 1
+        self.folds.add_event(type, t, fields)
+        if type == ev.CACHE_PUT:
+            name = fields.get("file")
             if name is not None:
                 node = self.resident.setdefault(
-                    int(record["worker"]), {})
-                node[name] = record["nbytes"]
-        elif rtype == ev.CACHE_EVICT:
-            name = record.get("file")
+                    int(fields["worker"]), {})
+                node[name] = fields["nbytes"]
+        elif type == ev.CACHE_EVICT:
+            name = fields.get("file")
             if name is not None:
-                self.resident.get(int(record["worker"]),
+                self.resident.get(int(fields["worker"]),
                                   {}).pop(name, None)
-        elif rtype == ev.TASK_DONE:
-            self.done[record["task"]] = list(
-                record.get("outputs", ()))
-        elif rtype == ev.OUTPUT_DISCOVERED:
+        elif type == ev.TASK_DONE:
+            self.done[fields["task"]] = list(
+                fields.get("outputs", ()))
+        elif type == ev.OUTPUT_DISCOVERED:
             self.discovered.append({
-                "task": record["task"], "file": record["file"],
-                "nbytes": record.get("nbytes", 0.0)})
+                "task": fields["task"], "file": fields["file"],
+                "nbytes": fields.get("nbytes", 0.0)})
+
+    def add(self, record: dict) -> None:
+        self.on_event(record.get("type", "?"), record.get("t", 0.0), record)
 
     def feed(self, records: Iterable[dict]) -> int:
         n = 0
@@ -192,8 +207,7 @@ def tenant_summaries(facility, done: Set[str]) -> dict:
 # -- building -----------------------------------------------------------------
 def build_checkpoint(service) -> dict:
     """Snapshot a quiescent service (see module docstring)."""
-    cf = CheckpointFolds()
-    cf.feed(read_records(service.txlog_path))
+    cf = service.checkpoint_folds
     # chain: committed state inherited from prior epochs is not in
     # this epoch's log as TASK_DONE records (caches *are*: restore
     # re-reserves them, which re-emits CACHE_PUT into the new log)
@@ -249,14 +263,18 @@ def build_checkpoint(service) -> dict:
 
 def write_checkpoint(ckpt: dict, path: str) -> None:
     """Atomic write: temp file in the target directory + rename, so a
-    crash mid-checkpoint leaves the previous checkpoint intact."""
+    crash mid-checkpoint leaves the previous checkpoint intact.
+
+    One unindented ``json.dumps`` call, so CPython's C encoder does the
+    work (``json.dump`` and ``indent`` both take the pure-Python one).
+    """
+    text = json.dumps(ckpt, sort_keys=True, separators=(",", ":"))
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-",
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(ckpt, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -289,15 +307,17 @@ def load_checkpoint(path: str) -> dict:
 
 
 # -- restoring ----------------------------------------------------------------
-def _retain_at_restore(composite, name: str, done: Set[str]) -> bool:
+def _retain_at_restore(composite, name: str, done: Set[str],
+                       final: Set[str]) -> bool:
     """Should a restored replica be retention-protected?  Generated
-    files still feeding undone consumers, and final results, must not
-    be LRU victims -- exactly the live manager's retention rule."""
+    files still feeding undone consumers, and final results (``final``,
+    the composite's final files), must not be LRU victims -- exactly
+    the live manager's retention rule."""
     if composite.producer.get(name) is None:
         return False  # dataset input: evictable, re-stageable
     if any(c not in done for c in composite.consumers.get(name, ())):
         return True
-    return name in set(composite.final_files())
+    return name in final
 
 
 async def restore_service(path: str, env, tenants, *,
@@ -326,17 +346,19 @@ async def restore_service(path: str, env, tenants, *,
     facility.begin_service()
 
     done: Set[str] = set(ckpt["done"])
+    done_by_sid: Dict[str, List[str]] = {}
+    for tid in ckpt["done"]:
+        done_by_sid.setdefault(tid.partition("/")[0], []).append(tid)
     all_ids: List[str] = []
     all_files: List[str] = []
     for sub in ckpt["submissions"]:
         workflow = workflow_from_dict(sub["workflow"])
         sid, tenant = sub["sid"], sub["tenant"]
         queued = sub.get("status") == "queued"
-        prefix = sid + "/"
         ids, files = facility.restore_submission(
             sid, tenant, sub.get("tag", ""), sub["t_submit"],
             workflow,
-            done_tasks=[t for t in done if t.startswith(prefix)],
+            done_tasks=done_by_sid.get(sid, ()),
             t_admit=sub.get("t_admit"), t_done=sub.get("t_done"),
             queued=queued)
         all_ids.extend(ids)
@@ -371,6 +393,7 @@ async def restore_service(path: str, env, tenants, *,
     # committed manager state: done set, replica map, worker caches
     replica_nodes: Dict[str, List[int]] = {}
     cache_entries: Dict[int, list] = {}
+    final = set(composite.final_files())
     for node_str, rows in ckpt["cache"].items():
         node = int(node_str)
         entries = cache_entries.setdefault(node, [])
@@ -379,7 +402,8 @@ async def restore_service(path: str, env, tenants, *,
                 continue  # e.g. file of a since-rejected submission
             replica_nodes.setdefault(name, []).append(node)
             entries.append((name, size,
-                            _retain_at_restore(composite, name, done)))
+                            _retain_at_restore(composite, name, done,
+                                               final)))
     manager.restore_committed(done, replica_nodes, cache_entries)
     manager.submission_added(all_ids, all_files)
     slo = facility.slo_monitor

@@ -38,6 +38,7 @@ from ..facility.tenant import Queued, Rejected
 from ..obs import TransactionLog
 from ..obs import events as obs
 from ..obs.live import LiveAnalyzer, NULL_LIVE_ANALYZER
+from .checkpoint import CheckpointFolds, workflow_to_dict
 from .futures import SubmissionFuture
 
 __all__ = ["FacilityService", "ServiceError"]
@@ -100,6 +101,14 @@ class FacilityService:
         self.manager = self.facility.manager
         self.bus = self.facility.bus
         self.txlog = self.facility.txlog
+        #: restore state folded from the event stream the txlog
+        #: records, live: seeded with the RUN header (which never
+        #: crosses the bus), then subscribed right behind the log
+        self.checkpoint_folds: Optional[CheckpointFolds] = None
+        if txlog is not None:
+            self.checkpoint_folds = CheckpointFolds()
+            self.checkpoint_folds.add(txlog.header)
+            self.bus.subscribe_all(self.checkpoint_folds.on_event)
         self.checkpoint_path = checkpoint_path
         #: checkpoint automatically every N committed tasks
         self.checkpoint_every = checkpoint_every
@@ -181,9 +190,9 @@ class FacilityService:
         """Quiesce and snapshot; returns the checkpoint dict.
 
         Pauses dispatch, pumps until in-flight work commits (running
-        tasks and transfers drain; nothing new starts), folds the txlog
-        into restore state, writes the sidecar atomically, stamps a
-        CHECKPOINT record, and resumes.
+        tasks and transfers drain; nothing new starts), snapshots the
+        live checkpoint fold into restore state, writes the sidecar
+        atomically, stamps a CHECKPOINT record, and resumes.
         """
         if self._pump_task is None:
             raise ServiceError("service not started")
@@ -238,8 +247,10 @@ class FacilityService:
         try:
             while True:
                 while self._inbox and self._inbox[0][0] <= sim.now:
-                    _t, _seq, entry = heapq.heappop(self._inbox)
-                    self._inject(entry)
+                    # popped once injected: if the submit raises, the
+                    # failure path below still fails its future
+                    self._inject(self._inbox[0][2])
+                    heapq.heappop(self._inbox)
                 if self._auto_checkpoint_due():
                     self._checkpoint_sync(self.checkpoint_path)
                 if self._inbox:
@@ -281,6 +292,10 @@ class FacilityService:
             self.facility.abort(exc)
             for fut in self.futures.values():
                 fut._failed(exc)
+            # arrivals not yet injected: their clients await too
+            for _t, _seq, entry in self._inbox:
+                entry["future"]._failed(exc)
+            self._inbox.clear()
             if not self._drained.done():
                 self._drained.set_exception(exc)
 
@@ -315,7 +330,6 @@ class FacilityService:
             return
         sid = decision.submission_id
         self.futures[sid] = fut
-        from .checkpoint import workflow_to_dict
         self.journal[sid] = {
             "tenant": entry["tenant"], "tag": entry["tag"],
             "t_submit": self.sim.now,
@@ -336,6 +350,8 @@ class FacilityService:
                 >= self.checkpoint_every)
 
     def _checkpoint_sync(self, path: Optional[str]) -> dict:
+        # imported per call: the ledger's traced run patches these
+        # module attributes
         from .checkpoint import build_checkpoint, write_checkpoint
         if path is None:
             raise ServiceError("no checkpoint path configured")

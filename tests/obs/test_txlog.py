@@ -8,15 +8,20 @@ the live recorder that produced the log.
 import dataclasses
 import io
 import json
+import os
+import tempfile
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bench.runners import build_environment, run_scheduler
 from repro.bench.workloads import build_workflow
 from repro.hep.datasets import TABLE2
 from repro.obs.events import EXEC_END, RUN, RUN_END, EventBus
-from repro.obs.txlog import TransactionLog, read_records, replay, run_meta
+from repro.obs.txlog import (ReadStatus, TailReader, TransactionLog,
+                             read_records, replay, run_meta)
 
 
 def tiny_spec(n_tasks=24, input_bytes=1.5e9):
@@ -129,6 +134,62 @@ class TestReading:
 
     def test_run_meta_missing_header(self):
         assert run_meta([{"type": "READY", "t": 0.0}]) == {}
+
+
+def _log_lines():
+    """A small closed log, one bytes line per record."""
+    fh = io.StringIO()
+    log = TransactionLog(fh=fh, meta={"scheduler": "taskvine"})
+    for i in range(12):
+        log.record("READY", float(i), task=f"t{i}", category="proc")
+        log.record("DISPATCH", i + 0.25, task=f"t{i}", worker=i % 3)
+        log.record(EXEC_END, i + 1.5, task=f"t{i}", worker=i % 3,
+                   ok=i % 5 != 4, t_ready=float(i), t_dispatch=i + 0.25,
+                   t_start=i + 0.5, t_end=i + 1.5)
+    log.close(completed=True)
+    return [line.encode() + b"\n"
+            for line in fh.getvalue().splitlines()]
+
+
+_LINES = _log_lines()
+
+
+class TestTailReader:
+    @settings(max_examples=60, deadline=None)
+    @given(footer=st.booleans(),
+           blank_at=st.integers(1, len(_LINES)),
+           corrupt_at=st.integers(1, len(_LINES)),
+           truncate=st.integers(0, 40),
+           cuts=st.lists(st.integers(0, 6000), max_size=12))
+    # a whitespace-only remainder is a blank line, not a held-back record
+    @example(footer=False, blank_at=len(_LINES), corrupt_at=1, truncate=1,
+             cuts=[])
+    def test_piecewise_polls_equal_one_read(self, footer, blank_at,
+                                            corrupt_at, truncate, cuts):
+        """However the writer's bytes arrive -- cut mid-record, with a
+        blank line and a corrupt line, footer or not, the writer dead
+        mid-record -- the records the polls return and the final status
+        equal ``read_records`` on the whole file."""
+        lines = list(_LINES if footer else _LINES[:-1])
+        lines.insert(min(blank_at, len(lines)), b" \n")
+        lines.insert(min(corrupt_at, len(lines)),
+                     b'{"type": "READY", "t": \n')
+        blob = b"".join(lines)
+        blob = blob[:len(blob) - truncate]
+        bounds = [0, *sorted(min(c, len(blob)) for c in cuts), len(blob)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.jsonl")
+            with TailReader(path) as tail:
+                assert tail.poll() == []  # not created yet
+                polled = []
+                with open(path, "wb") as fh:
+                    for start, end in zip(bounds, bounds[1:]):
+                        fh.write(blob[start:end])
+                        fh.flush()
+                        polled.extend(tail.poll())
+                status = ReadStatus()
+                assert polled == list(read_records(path, status=status))
+                assert tail.status == status
 
 
 class TestReplayFidelity:
