@@ -25,10 +25,9 @@ the data-routing policies (see :mod:`repro.workqueue` and
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from heapq import nsmallest
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from ..obs import events as obs
 from ..sim.cluster import Cluster, WorkerNode
@@ -42,7 +41,7 @@ from ..sim.engine import (
     Timeout,
 )
 from ..sim.storage import DiskFullError, SharedFilesystem
-from ..sim.trace import TaskRecord, TraceRecorder
+from ..sim.trace import TaskRecord, TraceRecorder, stable_trace_id
 from .cache import ReplicaMap
 from .config import TASK_MODE_FUNCTIONS, TASK_MODE_TASKS, SchedulerConfig
 from .files import FileKind
@@ -54,18 +53,6 @@ __all__ = ["TaskVineManager", "RunResult", "SchedulerError",
            "UnrecoverableError", "stable_trace_id"]
 
 MANAGER_NODE = 0
-
-
-def stable_trace_id(task_id: str) -> int:
-    """31-bit numeric trace id for a task's string id.
-
-    CRC32, *not* ``hash()``: the builtin is salted per process
-    (PYTHONHASHSEED), so hashed ids from two runs could never be lined
-    up.  With a content-defined id, traces written by different
-    processes (or recorded in the golden captures under ``tests/``)
-    agree byte for byte.
-    """
-    return zlib.crc32(task_id.encode()) & 0x7FFFFFFF
 
 
 class SchedulerError(Exception):
@@ -199,22 +186,18 @@ class TaskVineManager:
         self.attempts: Dict[str, int] = {}
         self.ready_time: Dict[str, float] = {}
         self.task_procs: Dict[str, object] = {}
-        self.dependents = workflow.task_dependents()
-        self.final_files = set(workflow.final_files())
         #: per-task immutable metadata, built lazily (dynamic workflows
         #: grow; a task's meta is computed on its first touch)
         self._meta: Dict[str, _TaskMeta] = {}
         #: shared file-size map for placement scoring (one dict for the
-        #: whole workflow; extended in :meth:`submission_added`)
-        self._sizes: Dict[str, float] = {
-            name: f.size for name, f in workflow.files.items()}
+        #: whole workflow; extended by :meth:`_track`)
+        self._sizes: Dict[str, float] = {}
         #: per-file count of consumers not yet done -- the incremental
         #: form of "all(c in self.done for c in consumers[name])".
         #: Decremented on first completion of a consumer, incremented
-        #: back when lineage recovery un-does one, rebuilt wholesale
-        #: when a submission grows the consumer sets.
-        self._consumers_undone: Dict[str, int] = {
-            name: len(cons) for name, cons in workflow.consumers.items()}
+        #: back when lineage recovery un-does one, extended by
+        #: :meth:`_track` as the workflow grows.
+        self._consumers_undone: Dict[str, int] = {}
 
         # Multi-tenant support (repro.facility).  A workflow that knows
         # its tenants exposes tenant_of/tenant_of_file/equivalents; the
@@ -269,10 +252,7 @@ class TaskVineManager:
         #: checkpoint barrier: paused + inflight == 0 is quiescent.
         self.paused = False
 
-        # dataset inputs live on shared storage from the start
-        for name, file in workflow.files.items():
-            if file.kind == FileKind.INPUT:
-                self.replicas.add(name, storage.node_id)
+        self._track(workflow.tasks, workflow.files)
 
     # -- public entry -----------------------------------------------------------
     def start(self) -> None:
@@ -423,30 +403,42 @@ class TaskVineManager:
             self._wake.succeed()
 
     # -- dynamic submissions (repro.facility) -------------------------------
-    def submission_added(self, task_ids: Iterable[str],
-                         file_names: Iterable[str]) -> None:
+    def submission_added(self, task_ids: Sequence[str],
+                         file_names: Sequence[str]) -> None:
         """The (growable) workflow gained tasks mid-run.
 
-        Registers the new dataset inputs as durable replicas on shared
-        storage, refreshes derived DAG state, and enqueues whichever of
-        the new tasks are immediately ready.
+        Indexes only what is new (see :meth:`_track`) and enqueues
+        whichever of the new tasks are immediately ready.  The DAG
+        state itself is the workflow's, read live.
         """
-        files = self.workflow.files
-        sizes = self._sizes
-        for name in file_names:
-            sizes[name] = files[name].size
-            if files[name].kind == FileKind.INPUT:
-                self.replicas.add(name, self.storage.node_id)
-        self.dependents = self.workflow.task_dependents()
-        self.final_files = set(self.workflow.final_files())
-        done = self.done
-        self._consumers_undone = {
-            name: sum(1 for c in cons if c not in done)
-            for name, cons in self.workflow.consumers.items()}
+        self._track(task_ids, file_names)
         for task_id in task_ids:
             if self._is_ready(task_id):
                 self._enqueue(task_id)
         self._wake_dispatcher()
+
+    def _track(self, task_ids: Iterable[str],
+               file_names: Iterable[str]) -> None:
+        """Index tasks and files the workflow gained: file sizes,
+        dataset inputs as durable replicas on shared storage, and
+        consumer countdowns.  Tasks already done (primed by
+        :meth:`restore_committed`) count as no consumer."""
+        files = self.workflow.files
+        sizes = self._sizes
+        undone = self._consumers_undone
+        for name in file_names:
+            file = files[name]
+            sizes[name] = file.size
+            undone[name] = 0
+            if file.kind == FileKind.INPUT:
+                # dataset inputs live on shared storage from the start
+                self.replicas.add(name, self.storage.node_id)
+        tasks = self.workflow.tasks
+        done = self.done
+        for task_id in task_ids:
+            if task_id not in done:
+                for name in tasks[task_id].inputs:
+                    undone[name] += 1
 
     def close_submissions(self) -> None:
         """No more submissions will arrive; the run may now complete."""
@@ -759,11 +751,14 @@ class TaskVineManager:
                           **self._tenant_kw(task.id))
         if self.config.min_replicas > 1:
             for name in task.outputs:
-                if name not in self.final_files:
+                if name not in self.workflow.final:
                     self._maybe_replicate(name, agent)
-        for dep in self.dependents[task.id]:
-            if self._is_ready(dep):
-                self._enqueue(dep)
+        # dependents in insertion order: the consumers of each output
+        consumers = self.workflow.consumers
+        for name in task.outputs:
+            for dep in consumers[name]:
+                if self._is_ready(dep):
+                    self._enqueue(dep)
         # Inputs whose consumers are all done no longer need retention;
         # workers may evict them under disk pressure.  The countdown is
         # the incremental form of "all consumers in self.done": only the
@@ -1006,15 +1001,14 @@ class TaskVineManager:
         node_id = agent.node_id
         replicas = self.replicas
         sizes = self._sizes
+        final = self.workflow.final
         for name in task.outputs:
             size = sizes[name]
             # outputs are retained until their consumers finish
             agent.reserve(name, size, retain=True)  # may raise DiskFull
             yield disk.write(size)
             replicas.add(name, node_id)
-            # self.final_files is re-read each pass: a facility
-            # submission arriving between output writes rebinds it
-            if results_to_manager or name in self.final_files:
+            if results_to_manager or name in final:
                 t_retr = self.sim.now
                 yield from self._manager_transfer(
                     agent.node_id, MANAGER_NODE, size, "result")
@@ -1040,14 +1034,10 @@ class TaskVineManager:
         and retrieved to the manager like any declared final output.
         Re-commits after lineage recovery skip the announcement.
         """
-        register = getattr(self.workflow, "register_dynamic", None)
         node_id = agent.node_id
         for name, size in task.dynamic_outputs:
-            fresh = name not in self.workflow.files
-            if register is not None:
-                register(task.id, name, size)
+            fresh = self.workflow.register_dynamic(task.id, name, size)
             self._sizes[name] = size
-            self.final_files.add(name)
             agent.reserve(name, size, retain=True)
             yield agent.node.disk.write(size)
             self.replicas.add(name, node_id)
@@ -1175,9 +1165,8 @@ class TaskVineManager:
             # dataset files are durable on shared storage
             self.replicas.add(name, self.storage.node_id)
             return
-        needed = (name in self.final_files
-                  or any(consumer not in self.done
-                         for consumer in self.workflow.consumers[name]))
+        needed = (name in self.workflow.final
+                  or self._consumers_undone[name] > 0)
         if not needed:
             return
         producer = self.workflow.producer[name]

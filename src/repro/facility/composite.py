@@ -6,42 +6,35 @@ names are prefixed ``<tenant>.<seq>/`` so identical DAGs from
 different tenants (the common case: everyone iterates on the same
 ntuple) never collide.
 
-Content identity survives the renaming: each physical file keeps the
-*tenant-visible* cachename computed by its own SimWorkflow (name +
-size + lineage, :func:`repro.core.files.cachename`), and the composite
-indexes physical names by cachename.  :meth:`equivalents` is the hook
-the manager uses to satisfy staging from a peer tenant's bytes already
-on the worker -- the cross-tenant shared cache.
+The composite *is* a :class:`SimWorkflow`: each submission is one
+:meth:`~SimWorkflow.extend`, so the DAG state the manager reads lives
+once and grows in place.  What the composite adds is tenancy (task and
+file owners, task -> submission) and a content index.
 
-The composite exposes the SimWorkflow surface the manager reads
-(``tasks``/``files``/``producer``/``consumers``/``task_dependents``/
-``final_files``), with all containers *live*: the manager holds
-references taken at construction and sees new submissions without
-re-wiring.
+Content identity survives the renaming: each physical file keeps the
+*tenant-visible* cachename, the one its own SimWorkflow computed from
+the unprefixed name (name + size + lineage,
+:func:`repro.core.files.cachename`), and the composite indexes physical
+names by cachename.  :meth:`equivalents` is the hook the manager uses
+to satisfy staging from a peer tenant's bytes already on the worker --
+the cross-tenant shared cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..core.files import FileKind, SimFile, cachename
-from ..core.spec import SimTask, SimWorkflow, WorkflowError
+from ..core.spec import SimWorkflow
 
 __all__ = ["CompositeWorkflow"]
 
 
-class CompositeWorkflow:
+class CompositeWorkflow(SimWorkflow):
     """Union of namespaced submissions with a shared content index."""
 
     def __init__(self):
-        self.tasks: Dict[str, SimTask] = {}
-        self.files: Dict[str, SimFile] = {}
-        self.producer: Dict[str, str] = {}
-        self.consumers: Dict[str, Set[str]] = {}
-        self.cachenames: Dict[str, str] = {}
-        self._dependents: Dict[str, Set[str]] = {}
-        self._final: Set[str] = set()
+        super().__init__()
         self._tenant_by_task: Dict[str, str] = {}
         self._tenant_by_file: Dict[str, str] = {}
         self._submission_by_task: Dict[str, str] = {}
@@ -50,104 +43,48 @@ class CompositeWorkflow:
         self._by_content: Dict[str, List[str]] = {}
 
     # -- growth -------------------------------------------------------------
-    def extend(self, tenant: str, submission_id: str,
-               workflow: SimWorkflow
-               ) -> Tuple[List[str], List[str]]:
+    def add_submission(self, tenant: str, submission_id: str,
+                       workflow: SimWorkflow
+                       ) -> Tuple[List[str], List[str]]:
         """Merge one submission; returns (new task ids, new file names)."""
         prefix = f"{submission_id}/"
-        task_ids: List[str] = []
-        file_names: List[str] = []
-        for name in workflow.files:
-            if prefix + name in self.files:
-                raise WorkflowError(
-                    f"duplicate submission id {submission_id!r}")
-        for name, file in workflow.files.items():
-            phys = prefix + name
-            self.files[phys] = replace(file, name=phys)
-            self.consumers[phys] = set()
-            visible = workflow.cachenames[name]
-            self.cachenames[phys] = visible
-            self._tenant_by_file[phys] = tenant
-            self._by_content.setdefault(visible, []).append(phys)
-            file_names.append(phys)
-        for task_id, task in workflow.tasks.items():
-            phys = prefix + task_id
-            self.tasks[phys] = replace(
-                task, id=phys,
-                inputs=tuple(prefix + n for n in task.inputs),
-                outputs=tuple(prefix + n for n in task.outputs),
-                dynamic_outputs=tuple(
-                    (prefix + n, size)
-                    for n, size in task.dynamic_outputs))
-            self._dependents[phys] = set()
-            self._tenant_by_task[phys] = tenant
-            self._submission_by_task[phys] = submission_id
-            task_ids.append(phys)
+        files = [replace(file, name=prefix + file.name)
+                 for file in workflow.files.values()]
+        tasks = [replace(
+            task, id=prefix + task.id,
+            inputs=tuple(prefix + n for n in task.inputs),
+            outputs=tuple(prefix + n for n in task.outputs),
+            dynamic_outputs=tuple(
+                (prefix + n, size) for n, size in task.dynamic_outputs))
+            for task in workflow.tasks.values()]
+        self.extend(tasks, files)
+        task_ids = [task.id for task in tasks]
+        file_names = [file.name for file in files]
         for task_id in task_ids:
-            task = self.tasks[task_id]
-            for name in task.inputs:
-                self.consumers[name].add(task_id)
-            for name in task.outputs:
-                self.producer[name] = task_id
-        for task_id in task_ids:
-            for name in self.tasks[task_id].inputs:
-                producer_id = self.producer.get(name)
-                if producer_id is not None:
-                    self._dependents[producer_id].add(task_id)
-        self._final.update(
-            prefix + name for name in workflow.final_files())
+            self._tenant_by_task[task_id] = tenant
+            self._submission_by_task[task_id] = submission_id
+        for name in file_names:
+            self._index_file(name, tenant)
         return task_ids, file_names
 
     def register_dynamic(self, task_id: str, name: str,
-                         size: float) -> None:
+                         size: float) -> bool:
         """Register a runtime-discovered output under its producing
         task's tenant namespace (``name`` is already physical: the
         manager sees only prefixed task specs).  Idempotent."""
-        if name in self.files:
-            return
-        self.files[name] = SimFile(name, size, FileKind.OUTPUT)
-        self.producer[name] = task_id
-        self.consumers[name] = set()
-        lineage = [self.cachenames[parent]
-                   for parent in self.tasks[task_id].inputs]
-        visible = cachename(name, size, lineage)
-        self.cachenames[name] = visible
-        self._by_content.setdefault(visible, []).append(name)
-        self._tenant_by_file[name] = self._tenant_by_task[task_id]
-        self._final.add(name)
+        fresh = super().register_dynamic(task_id, name, size)
+        if fresh:
+            self._index_file(name, self._tenant_by_task[task_id])
+        return fresh
 
-    # -- SimWorkflow surface ------------------------------------------------
-    def task_dependencies(self, task_id: str) -> Set[str]:
-        deps = set()
-        for name in self.tasks[task_id].inputs:
-            producer_id = self.producer.get(name)
-            if producer_id is not None:
-                deps.add(producer_id)
-        return deps
+    def _index_file(self, name: str, tenant: str) -> None:
+        self._tenant_by_file[name] = tenant
+        self._by_content.setdefault(self.cachenames[name], []).append(name)
 
-    def task_dependents(self) -> Dict[str, Set[str]]:
-        return self._dependents
-
-    def initial_ready(self) -> List[str]:
-        return [tid for tid in self.tasks
-                if not self.task_dependencies(tid)]
-
-    def final_files(self) -> List[str]:
-        return sorted(self._final)
-
-    def total_input_bytes(self) -> float:
-        return sum(f.size for f in self.files.values()
-                   if f.kind == FileKind.INPUT)
-
-    def total_generated_bytes(self) -> float:
-        return sum(f.size for f in self.files.values()
-                   if f.kind != FileKind.INPUT)
-
-    def categories(self) -> Set[str]:
-        return {t.category for t in self.tasks.values()}
-
-    def __len__(self) -> int:
-        return len(self.tasks)
+    def _content_name(self, name: str) -> str:
+        # the tenant-visible name: identity ignores the namespace, so
+        # identical chunks collide across tenants (DESIGN "Shared cache")
+        return name.partition("/")[2]
 
     # -- tenancy ------------------------------------------------------------
     def tenant_of(self, task_id: str) -> str:
@@ -164,8 +101,3 @@ class CompositeWorkflow:
         bytes are content-identical to ``name``."""
         peers = self._by_content.get(self.cachenames.get(name, ""), ())
         return [p for p in peers if p != name]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<CompositeWorkflow {len(self.tasks)} tasks, "
-                f"{len(self.files)} files, "
-                f"{len(self._by_content)} distinct contents>")

@@ -319,7 +319,7 @@ class Facility:
 
     def _admit(self, sub: Submission) -> None:
         now = self.sim.now
-        task_ids, file_names = self.composite.extend(
+        task_ids, file_names = self.composite.add_submission(
             sub.tenant, sub.sid, sub.workflow)
         sub.workflow = None  # merged; drop the standalone copy
         sub.pending = set(task_ids)
@@ -439,7 +439,7 @@ class Facility:
             stats.submitted += 1
             stats.queued += 1
             return [], []
-        task_ids, file_names = self.composite.extend(
+        task_ids, file_names = self.composite.add_submission(
             tenant, sid, workflow)
         done = set(done_tasks)
         sub = Submission(sid=sid, tenant=tenant, tag=tag,

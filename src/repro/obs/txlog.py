@@ -47,6 +47,15 @@ SCHEMA_VERSION = 1
 _OPEN_LOGS: "weakref.WeakSet[TransactionLog]" = weakref.WeakSet()
 
 
+#: A shutdown signal that landed inside a log write, waiting for that
+#: write to finish its line (0: none).  Signal handlers run on the main
+#: thread between bytecodes; one that touched the file mid-write would
+#: leave a half-finished line or re-enter a buffered writer that is
+#: mid-flush (``RuntimeError: reentrant call``).  A log's lock is held
+#: by a thread exactly while that thread writes or closes the log.
+_deferred_signal = 0
+
+
 def _coerce(value):
     """JSON fallback for numpy scalars and other oddballs."""
     for cast in (int, float):
@@ -74,8 +83,7 @@ class TransactionLog:
         self.path = path
         self._fh = fh if fh is not None else open(path, "w")
         self._owns_fh = fh is None
-        # reentrant: the graceful-shutdown signal handler may close the
-        # log while this same thread is inside _write
+        # reentrant: close() writes its footer through _write
         self._lock = threading.RLock()
         self._closed = False
         self._mid_write = False
@@ -118,21 +126,23 @@ class TransactionLog:
         with self._lock:
             if self._closed:
                 return
+            # stays set only if the write raised part-way
             self._mid_write = True
             self._fh.write(line + "\n")
             self._mid_write = False
             self.records_written += 1
             if self._autoflush:
                 self._fh.flush()
+        if _deferred_signal and not self._lock._is_owned():
+            _terminate_deferred()
 
     # -- lifecycle -----------------------------------------------------------
     def close(self, **footer_fields) -> None:
         """Write the RUN_END footer and release the file handle.
 
-        Safe to call from a signal handler: if the signal landed inside
-        an in-flight record, the open line is terminated first (readers
-        skip the fragment), so a :class:`TailReader` sees the footer
-        instead of holding back a partial tail forever.
+        If an earlier write raised part-way, its open line is terminated
+        first (readers skip the fragment), so a :class:`TailReader` sees
+        the footer instead of holding back a partial tail forever.
         """
         with self._lock:
             if self._closed:
@@ -147,6 +157,8 @@ class TransactionLog:
             if self._owns_fh:
                 self._fh.close()
         _OPEN_LOGS.discard(self)
+        if _deferred_signal and not self._lock._is_owned():
+            _terminate_deferred()
 
     def __enter__(self) -> "TransactionLog":
         return self
@@ -176,16 +188,34 @@ def install_signal_handlers(signals=(_signal.SIGTERM,
 
     On either signal every open transaction log is flushed and
     footered (see :func:`close_open_logs`), then the process exits
-    with the conventional ``128 + signum`` status.  Call once at CLI
-    startup, after argument parsing; only the main thread may install
-    signal handlers.
+    with the conventional ``128 + signum`` status.  A signal that lands
+    inside a log write on the main thread is acted on as soon as that
+    write has finished its line.  Call once at CLI startup, after
+    argument parsing; only the main thread may install signal handlers.
     """
     def _handler(signum, frame):
-        close_open_logs(reason=_signal.Signals(signum).name)
-        raise SystemExit(128 + signum)
+        global _deferred_signal
+        if any(log._lock._is_owned() for log in list(_OPEN_LOGS)):
+            _deferred_signal = signum
+            return
+        _terminate(signum)
 
     for sig in signals:
         _signal.signal(sig, _handler)
+
+
+def _terminate_deferred() -> None:
+    """Act on a deferred signal, on the main thread where it landed."""
+    global _deferred_signal
+    if threading.current_thread() is not threading.main_thread():
+        return
+    signum, _deferred_signal = _deferred_signal, 0
+    _terminate(signum)
+
+
+def _terminate(signum: int) -> None:
+    close_open_logs(reason=_signal.Signals(signum).name)
+    raise SystemExit(128 + signum)
 
 
 @dataclass

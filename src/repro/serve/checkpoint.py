@@ -177,7 +177,6 @@ def tenant_summaries(facility, done: Set[str]) -> dict:
     """
     from ..chaos.scorecard import N_BINS, pseudo_histogram
     composite = facility.composite
-    final = set(composite.final_files())
     out = {}
     for tenant in sorted(facility.tenants):
         ids = sorted(t for t in done
@@ -187,7 +186,7 @@ def tenant_summaries(facility, done: Set[str]) -> dict:
             for i, v in enumerate(pseudo_histogram(tid)):
                 hist[i] += int(v)
         outputs = sorted(
-            name for name in final
+            name for name in composite.final
             if composite.tenant_of_file(name) == tenant
             and composite.producer.get(name) in done)
         subs = [s for s in facility.submissions.values()
@@ -307,17 +306,15 @@ def load_checkpoint(path: str) -> dict:
 
 
 # -- restoring ----------------------------------------------------------------
-def _retain_at_restore(composite, name: str, done: Set[str],
-                       final: Set[str]) -> bool:
+def _retain_at_restore(composite, name: str, done: Set[str]) -> bool:
     """Should a restored replica be retention-protected?  Generated
-    files still feeding undone consumers, and final results (``final``,
-    the composite's final files), must not be LRU victims -- exactly
-    the live manager's retention rule."""
+    files still feeding undone consumers, and final results, must not
+    be LRU victims -- exactly the live manager's retention rule."""
     if composite.producer.get(name) is None:
         return False  # dataset input: evictable, re-stageable
-    if any(c not in done for c in composite.consumers.get(name, ())):
+    if any(c not in done for c in composite.consumers[name]):
         return True
-    return name in final
+    return name in composite.final
 
 
 async def restore_service(path: str, env, tenants, *,
@@ -386,14 +383,12 @@ async def restore_service(path: str, env, tenants, *,
             raise CheckpointError(
                 f"checkpoint marks unknown task {tid!r} done")
         for name, size in task.dynamic_outputs:
-            if name not in composite.files:
-                composite.register_dynamic(tid, name, size)
+            if composite.register_dynamic(tid, name, size):
                 all_files.append(name)
 
     # committed manager state: done set, replica map, worker caches
     replica_nodes: Dict[str, List[int]] = {}
     cache_entries: Dict[int, list] = {}
-    final = set(composite.final_files())
     for node_str, rows in ckpt["cache"].items():
         node = int(node_str)
         entries = cache_entries.setdefault(node, [])
@@ -402,8 +397,7 @@ async def restore_service(path: str, env, tenants, *,
                 continue  # e.g. file of a since-rejected submission
             replica_nodes.setdefault(name, []).append(node)
             entries.append((name, size,
-                            _retain_at_restore(composite, name, done,
-                                               final)))
+                            _retain_at_restore(composite, name, done)))
     manager.restore_committed(done, replica_nodes, cache_entries)
     manager.submission_added(all_ids, all_files)
     slo = facility.slo_monitor

@@ -15,6 +15,7 @@ log:
 from __future__ import annotations
 
 import bisect
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,10 +28,25 @@ __all__ = [
     "WorkerEvent",
     "TraceRecorder",
     "step_series",
+    "stable_trace_id",
 ]
 
 MANAGER_NODE = 0
 """Node id reserved for the manager in transfer matrices (paper Fig 7)."""
+
+
+def stable_trace_id(task_id: str) -> int:
+    """31-bit numeric trace id for a task's string id
+    (:attr:`TaskRecord.task_id`).
+
+    CRC32, *not* ``hash()``: the builtin is salted per process
+    (PYTHONHASHSEED), so hashed ids from two runs could never be lined
+    up.  With a content-defined id, traces written by different
+    processes (or recorded in the golden captures under ``tests/``)
+    agree byte for byte, and EXEC_END records, which carry this id,
+    line up with every other lifecycle edge, which carries the string.
+    """
+    return zlib.crc32(task_id.encode()) & 0x7FFFFFFF
 
 
 @dataclass(slots=True)

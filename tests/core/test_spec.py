@@ -102,8 +102,10 @@ class TestStructure:
         assert wf.task_dependencies("b") == {"a"}
 
     def test_dependents(self):
+        """A task's dependents are the consumers of its outputs."""
         wf = make_simple()
-        assert wf.task_dependents() == {"a": {"b"}, "b": set()}
+        assert wf.consumers == {"in": ["a"], "mid": ["b"], "out": []}
+        assert wf.producer == {"mid": "a", "out": "b"}
 
     def test_initial_ready(self):
         wf = make_simple()
@@ -124,3 +126,87 @@ class TestStructure:
 
     def test_len(self):
         assert len(make_simple()) == 2
+
+
+def fan_out(n_leaves, prefix=""):
+    """One root writes a file that ``n_leaves`` leaves read."""
+    files = [SimFile(f"{prefix}in", 100, FileKind.INPUT),
+             SimFile(f"{prefix}mid", 10, FileKind.INTERMEDIATE)]
+    tasks = [SimTask(id=f"{prefix}root", compute=1.0,
+                     inputs=(f"{prefix}in",), outputs=(f"{prefix}mid",))]
+    for i in range(n_leaves):
+        files.append(SimFile(f"{prefix}out-{i}", 1, FileKind.OUTPUT))
+        tasks.append(SimTask(id=f"{prefix}leaf-{i}", compute=1.0,
+                             inputs=(f"{prefix}mid",),
+                             outputs=(f"{prefix}out-{i}",)))
+    return tasks, files
+
+
+def derived(wf):
+    """A snapshot (copies, not the live containers) of the DAG state."""
+    return (list(wf.tasks), list(wf.files), dict(wf.producer),
+            {name: list(users) for name, users in wf.consumers.items()},
+            wf.final_files(), dict(wf.cachenames))
+
+
+class TestExtend:
+    def test_consumers_keep_insertion_order(self):
+        # ids chosen so that no sorted or hashed order matches
+        names = ["leaf-7", "leaf-2", "leaf-9", "leaf-0", "leaf-5"]
+        files = [SimFile("in", 1, FileKind.INPUT)]
+        tasks = [SimTask(id=n, compute=1, inputs=("in",)) for n in names]
+        wf = SimWorkflow(tasks, files)
+        assert wf.consumers["in"] == names
+
+    def test_growth_equals_one_build(self):
+        a_tasks, a_files = fan_out(3, "a/")
+        b_tasks, b_files = fan_out(2, "b/")
+        grown = SimWorkflow(a_tasks, a_files)
+        grown.extend(b_tasks, b_files)
+        whole = SimWorkflow(a_tasks + b_tasks, a_files + b_files)
+        assert derived(grown) == derived(whole)
+
+    def test_reading_an_existing_file_makes_it_non_final(self):
+        wf = make_simple()
+        held = wf.final
+        wf.extend([SimTask(id="c", compute=1, inputs=("out",),
+                           outputs=("plot",))],
+                  [SimFile("plot", 1, FileKind.OUTPUT)])
+        assert wf.consumers["out"] == ["c"]
+        assert wf.final_files() == ["plot"]
+        assert held is wf.final  # readers holding the dict see growth
+        assert wf.initial_ready() == ["a"]
+
+    def test_rejected_extension_changes_nothing(self):
+        wf = make_simple()
+        before = derived(wf)
+        # valid new files, then a cycle among the new tasks
+        files = [SimFile("x", 1, FileKind.INTERMEDIATE),
+                 SimFile("y", 1, FileKind.INTERMEDIATE)]
+        tasks = [SimTask(id="c", compute=1, inputs=("mid", "y"),
+                         outputs=("x",)),
+                 SimTask(id="d", compute=1, inputs=("x",),
+                         outputs=("y",))]
+        with pytest.raises(WorkflowError, match="cycle"):
+            wf.extend(tasks, files)
+        assert derived(wf) == before
+        with pytest.raises(WorkflowError, match="produced twice"):
+            wf.extend([SimTask(id="e", compute=1, outputs=("mid",))], [])
+        assert derived(wf) == before
+
+    def test_existing_names_rejected(self):
+        wf = make_simple()
+        with pytest.raises(WorkflowError, match="duplicate task"):
+            wf.extend([SimTask(id="a", compute=1)], [])
+        with pytest.raises(WorkflowError, match="duplicate file"):
+            wf.extend([], [SimFile("in", 1, FileKind.INPUT)])
+        with pytest.raises(WorkflowError, match="cannot be produced"):
+            wf.extend([SimTask(id="e", compute=1, outputs=("in",))], [])
+
+    def test_dynamic_output_joins_final_files(self):
+        wf = make_simple()
+        assert wf.register_dynamic("b", "extra", 5)
+        assert not wf.register_dynamic("b", "extra", 5)
+        assert wf.final_files() == ["out", "extra"]
+        assert wf.producer["extra"] == "b"
+        assert wf.consumers["extra"] == []

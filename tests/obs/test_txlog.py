@@ -9,6 +9,9 @@ import dataclasses
 import io
 import json
 import os
+import signal
+import subprocess
+import sys
 import tempfile
 import threading
 
@@ -252,3 +255,67 @@ class TestReplayFidelity:
         assert [e.kind for e in trace.worker_events] == ["spawn",
                                                          "preempt"]
         assert len(trace.failures()) == 1
+
+
+#: a child process: SIGTERM lands inside the third record's write or
+#: flush, through a handle that, like io.BufferedWriter, raises on
+#: re-entry from a signal handler
+_SIGNAL_INSIDE_WRITE = r"""
+import os, signal, sys
+from repro.obs.txlog import TransactionLog, install_signal_handlers
+
+class Handle:
+    def __init__(self, fh, where):
+        self.fh, self.where, self.calls, self.busy = fh, where, 0, False
+
+    def _io(self, op, *args):
+        if self.busy:
+            raise RuntimeError(f"reentrant call inside {op}")
+        self.busy = True
+        try:
+            out = getattr(self.fh, op)(*args)
+            if op == "flush" == self.where:
+                self._signal()  # inside the flush, as in a real one
+        finally:
+            self.busy = False
+        if op == "write" == self.where:
+            self._signal()  # the bytes are written, the call not done
+        return out
+
+    def write(self, text):
+        return self._io("write", text)
+
+    def flush(self):
+        return self._io("flush")
+
+    def _signal(self):
+        self.calls += 1
+        if self.calls == 3:
+            os.kill(os.getpid(), signal.SIGTERM)
+
+install_signal_handlers()
+log = TransactionLog(fh=Handle(open(sys.argv[1], "w"), sys.argv[2]),
+                     autoflush=True)
+for i in range(10):
+    log.record("X", float(i), i=i)
+"""
+
+
+class TestSignalInsideWrite:
+    @pytest.mark.parametrize("where", ["write", "flush"])
+    def test_sigterm_finishes_the_line_then_exits(self, tmp_path, where):
+        path = str(tmp_path / "run.jsonl")
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", _SIGNAL_INSIDE_WRITE, path, where],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60)
+        assert proc.returncode == 128 + signal.SIGTERM, proc.stderr
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+        assert lines.pop() == ""  # the file ends with a newline
+        assert all(lines), "blank line in the log"
+        records = [json.loads(line) for line in lines]
+        assert records[-1]["type"] == RUN_END
+        assert records[-1]["terminated"] == "SIGTERM"
+        assert [r["type"] for r in records[:-1]].count("X") == 2
