@@ -12,21 +12,22 @@ Usage::
 Each command runs the corresponding experiment driver and prints the
 paper-style report (optionally archiving it under ``--out``).  The
 ``run`` command executes a single scheduler run and can persist its
-transaction log for ``python -m repro.obs``.  The simulator's own
+transaction log for ``python -m repro.obs``; it exits 3 when that run
+did not complete.  Exit codes follow the one table in
+:mod:`repro.cli` (README "Exit codes").  The simulator's own
 wall-clock benchmark is ``benchmarks/ledger`` (see its README).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Callable, Dict, Optional
 
+from .. import cli
 from ..sim.viz import render_heatmap, render_timeline
 from . import experiments as ex
-from .report import format_series, format_table, write_report
-from .workloads import positive
+from .report import format_table, write_report
 
 
 def _table1(args) -> str:
@@ -142,40 +143,18 @@ def _fig15(args) -> str:
             f"{data['tasks']} tasks on {data['cores']} cores")
 
 
-def _run(args) -> str:
-    """One observable scheduler run (``--txlog`` feeds repro.obs)."""
-    import dataclasses
-
-    from ..hep.datasets import TABLE2
+def _run(args):
+    """One observable scheduler run (``--txlog`` feeds repro.obs);
+    returns the report and whether the run completed."""
     from . import calibration as cal
     from .runners import build_environment, run_scheduler
-    from .workloads import build_workflow
+    from .workloads import build_workflow, workload_spec
 
-    try:
-        spec = TABLE2[args.workload]
-    except KeyError:
-        raise SystemExit(f"unknown workload {args.workload!r}; "
-                         f"have {sorted(TABLE2)}")
-    if args.scale != 1.0:
-        spec = dataclasses.replace(
-            spec, name=f"{spec.name}-x{args.scale:g}",
-            n_tasks=max(1, int(spec.n_tasks * args.scale)),
-            input_bytes=spec.input_bytes * args.scale)
+    spec = workload_spec(args.workload, args.scale)
     scenario = None
     if args.chaos:
         from ..chaos import get_scenario
-        try:
-            scenario = get_scenario(args.chaos)
-        except KeyError as exc:
-            raise SystemExit(str(exc))
-    slo_policy = None
-    if args.slo:
-        from ..obs.slo import SLOPolicy
-        try:
-            slo_policy = SLOPolicy.from_file(args.slo)
-        except (OSError, ValueError, TypeError, KeyError) as exc:
-            raise SystemExit(f"cannot load SLO policy "
-                             f"{args.slo}: {exc}")
+        scenario = get_scenario(args.chaos)
     node = (cal.dask_sharded_node()
             if args.scheduler == "dask.distributed" else None)
     env = build_environment(args.workers, node=node, seed=args.seed)
@@ -186,9 +165,9 @@ def _run(args) -> str:
         # shared facility; the arrival spec + tenant count are stamped
         # in the txlog RUN header (same pattern as --chaos)
         if args.scheduler != "taskvine":
-            raise SystemExit("--tenants requires the taskvine "
-                             "scheduler (the facility shares one "
-                             "TaskVine manager)")
+            raise cli.InputError("--tenants requires the taskvine "
+                                 "scheduler (the facility shares one "
+                                 "TaskVine manager)")
         from ..facility import Facility, Tenant, \
             render_facility_report
         from .workloads import build_arrivals, make_schedule
@@ -205,32 +184,25 @@ def _run(args) -> str:
                         "workload": spec.name,
                         **({"chaos": scenario.describe()}
                            if scenario is not None else {})},
-            slo_policy=slo_policy)
-        fac_result = facility.run(arrivals, chaos=scenario)
-        table = render_facility_report(fac_result)
-        slo = getattr(fac_result, "slo_monitor", None)
-        if slo is not None and slo.enabled:
-            from ..obs.slo import render_slo_report
-            table += "\n\n" + render_slo_report(slo)
-        if args.txlog:
-            table += (f"\ntransaction log -> {args.txlog} "
-                      f"(analyze: python -m repro.obs {args.txlog})")
-        return table
-    result = run_scheduler(env, workflow, args.scheduler,
-                           txlog_path=args.txlog, chaos=scenario,
-                           slo_policy=slo_policy)
-    table = format_table(
-        ["Workload", "Scheduler", "Workers", "Tasks done", "Failures",
-         "Makespan (s)"],
-        [(spec.name, args.scheduler, args.workers, result.tasks_done,
-          result.task_failures,
-          round(result.makespan, 1) if result.completed else "DNF")],
-        title="RUN: single scheduler run")
+            slo_policy=args.slo)
+        result = facility.run(arrivals, chaos=scenario)
+        table = render_facility_report(result)
+    else:
+        result = run_scheduler(env, workflow, args.scheduler,
+                               txlog_path=args.txlog, chaos=scenario,
+                               slo_policy=args.slo)
+        table = format_table(
+            ["Workload", "Scheduler", "Workers", "Tasks done",
+             "Failures", "Makespan (s)"],
+            [(spec.name, args.scheduler, args.workers, result.tasks_done,
+              result.task_failures,
+              round(result.makespan, 1) if result.completed else "DNF")],
+            title="RUN: single scheduler run")
     slo = getattr(result, "slo_monitor", None)
     if slo is not None and slo.enabled:
         from ..obs.slo import render_slo_report
         table += "\n\n" + render_slo_report(slo)
-    if scenario is not None:
+    if scenario is not None and not args.tenants:
         fired = getattr(result, "chaos_injections", [])
         table += (f"\nchaos scenario {scenario.name!r}: "
                   f"{len(fired)} injections fired "
@@ -238,7 +210,7 @@ def _run(args) -> str:
     if args.txlog:
         table += (f"\ntransaction log -> {args.txlog} "
                   f"(analyze: python -m repro.obs {args.txlog})")
-    return table
+    return table, result.completed
 
 
 COMMANDS: Dict[str, Callable] = {
@@ -252,43 +224,30 @@ COMMANDS: Dict[str, Callable] = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Regenerate the paper's tables and figures.")
+        description="Regenerate the paper's tables and figures.",
+        parents=[cli.run_options(workers=200)],
+        epilog="exit codes (README): 0 ok, 2 unreadable input, "
+               "3 the `run` did not complete")
     parser.add_argument("command",
                         choices=sorted(COMMANDS) + ["list", "all"],
-                        help="which experiment to run")
-    parser.add_argument("--workers", type=positive(int), default=200,
-                        help="workers for the stack experiments "
-                             "(default: the paper's 200)")
-    parser.add_argument("--seed", type=int, default=11)
+                        help="which experiment to run (--workers and "
+                             "--seed apply to every one)")
     parser.add_argument("--out", default=None,
                         help="directory to archive the report into")
     group = parser.add_argument_group("run", "options for the `run` "
                                              "command")
-    group.add_argument("--workload", default="DV3-Small",
-                       help="Table II configuration name "
-                            "(default DV3-Small)")
     group.add_argument("--scheduler", default="taskvine",
                        choices=("taskvine", "workqueue",
                                 "dask.distributed"))
-    group.add_argument("--scale", type=positive(float), default=1.0,
-                       help="scale n_tasks and input bytes by this "
-                            "factor (e.g. 0.05 for a smoke run)")
-    group.add_argument("--txlog", default=None,
-                       help="write the run's JSONL transaction log "
-                            "here")
     group.add_argument("--chaos", default=None, metavar="SCENARIO",
                        help="inject a repro.chaos fault scenario into "
                             "the run (recorded in the txlog RUN "
                             "header; see `python -m repro.chaos list`)")
-    group.add_argument("--tenants", type=positive(int, zero_ok=True),
+    group.add_argument("--tenants", type=cli.positive(int, zero_ok=True),
                        default=0, metavar="N",
                        help="run the workload as N concurrent tenants "
                             "through the shared facility (recorded in "
                             "the txlog RUN header; 0 = single-tenant)")
-    group.add_argument("--slo", default=None, metavar="POLICY",
-                       help="monitor a JSON SLO policy during the "
-                            "run; alerts are stamped into the txlog "
-                            "(see repro.obs.slo)")
     group.add_argument("--arrival", default="poisson:0.05",
                        metavar="SPEC",
                        help="arrival process with --tenants: "
@@ -297,27 +256,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    # SIGTERM/SIGINT flush + terminate any open txlog so a stopped
-    # run never leaves an unterminated tail behind (repro.obs.txlog)
-    from ..obs.txlog import install_signal_handlers
-    install_signal_handlers()
+def _main(args) -> int:
     if args.command == "list":
         for name in sorted(COMMANDS):
             print(name)
-        return 0
+        return cli.EXIT_OK
+    code = cli.EXIT_OK
     if args.command == "all":  # every figure/table; not the ad-hoc run
         names = sorted(n for n in COMMANDS if n != "run")
     else:
         names = [args.command]
     for name in names:
         report = COMMANDS[name](args)
+        if name == "run":
+            report, completed = report
+            code = cli.EXIT_OK if completed else cli.EXIT_INCOMPLETE
         print(report)
         print()
         if args.out:
             write_report(args.out, name, report)
-    return 0
+    return code
+
+
+def main(argv: Optional[list] = None) -> int:
+    return cli.main(build_parser(), _main, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

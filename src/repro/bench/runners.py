@@ -91,30 +91,25 @@ def run_scheduler(env: SimEnvironment, workflow: SimWorkflow,
                   config: Optional[SchedulerConfig] = None,
                   limit: float = 5e5,
                   txlog_path: Optional[str] = None,
-                  txlog_meta: Optional[dict] = None,
-                  metrics=None,
                   sample_interval: Optional[float] = None,
                   chaos=None,
                   chaos_horizon: Optional[float] = None,
                   slo_policy=None) -> RunResult:
     """Run one scheduler over a workflow in the given environment.
 
-    Observability hooks (all optional, zero cost when unused):
+    Observability hooks (all optional, zero cost when unused; wired by
+    :class:`~repro.obs.observed.ObservedRun`):
 
     * ``txlog_path`` -- write a JSONL transaction log of every
       lifecycle edge (readable with ``python -m repro.obs``).
-    * ``metrics`` -- a :class:`~repro.obs.metrics.MetricsRegistry` to
-      bind to the run's event bus; standard scheduler-health gauges are
-      installed over the live manager.  Pass ``True`` to have one
-      created; either way the registry is attached to the result as
-      ``result.metrics_registry``.
-    * ``sample_interval`` -- seconds of sim time between gauge
-      snapshots (requires or creates a metrics registry).
+    * ``sample_interval`` -- seconds of sim time between snapshots of
+      the standard scheduler-health gauges, logged as METRIC_SAMPLE.
     * ``slo_policy`` -- an :class:`~repro.obs.slo.SLOPolicy` (or a
       path to its JSON file) to monitor on the run's event bus.
       Status changes are emitted as SLO_ALERT events (stamped into
       the txlog, when one is written) and the monitor is attached to
-      the result as ``result.slo_monitor``.
+      the result as ``result.slo_monitor``.  An invalid policy raises
+      :class:`~repro.cli.InputError` before the txlog is created.
 
     Fault injection:
 
@@ -131,90 +126,31 @@ def run_scheduler(env: SimEnvironment, workflow: SimWorkflow,
         raise ValueError(f"unknown scheduler {scheduler!r}; "
                          f"have {sorted(SCHEDULERS)}") from None
 
-    observing = (txlog_path is not None or metrics is not None
-                 or sample_interval is not None
-                 or slo_policy is not None)
-    txlog = None
-    sampler = None
-    slo_monitor = None
-    if observing:
-        # imported lazily so plain benchmark runs never touch obs
-        from ..obs import (EventBus, MetricsRegistry, Sampler,
-                           TransactionLog, install_standard_gauges)
-        bus = env.trace.bus
-        if bus is None or not bus.enabled:
-            bus = EventBus()
-            env.trace.bus = bus
-        if txlog_path is not None:
-            meta = {"scheduler": scheduler,
-                    "n_workers": env.n_workers,
-                    "cores_per_worker": env.cores_per_worker,
-                    "tasks": len(workflow.tasks)}
-            if chaos is not None:
-                meta["chaos"] = chaos.describe()
-            meta.update(txlog_meta or {})
-            txlog = TransactionLog(txlog_path, meta=meta)
-            txlog.attach(bus)
-        if metrics is True or (metrics is None
-                               and sample_interval is not None):
-            metrics = MetricsRegistry()
-        if metrics is not None:
-            metrics.bind(bus)
-        if slo_policy is not None:
-            from ..obs.slo import SLOMonitor, SLOPolicy
-            if isinstance(slo_policy, str):
-                slo_policy = SLOPolicy.from_file(slo_policy)
-            slo_monitor = SLOMonitor.install(
-                slo_policy, bus, expected_tasks=len(workflow.tasks))
+    observed = None
+    if (txlog_path is not None or sample_interval is not None
+            or slo_policy is not None or chaos is not None):
+        # imported lazily so plain benchmark runs never assemble one
+        from ..obs.observed import ObservedRun
+        meta = {"scheduler": scheduler,
+                "n_workers": env.n_workers,
+                "cores_per_worker": env.cores_per_worker,
+                "tasks": len(workflow.tasks)}
+        if chaos is not None:
+            meta["chaos"] = chaos.describe()
+        observed = ObservedRun(env, txlog_path=txlog_path, meta=meta,
+                               slo_policy=slo_policy,
+                               expected_tasks=len(workflow.tasks),
+                               sample_interval=sample_interval)
 
     # built after the bus is in place: the manager adopts trace.bus
     manager = scheduler_cls(env.sim, env.cluster, env.storage, workflow,
                             config=config, trace=env.trace)
-
-    injector = None
-    if chaos is not None:
-        # imported lazily so fault-free runs never touch repro.chaos
-        from ..chaos.inject import Injector, estimate_horizon
-        horizon = chaos_horizon
-        if horizon is None:
-            horizon = estimate_horizon(
-                workflow, env.n_workers * env.cores_per_worker)
-        injector = Injector(manager, chaos, horizon)
-        injector.start()
-
-    if metrics is not None:
-        install_standard_gauges(metrics, manager)
-        if sample_interval is not None:
-            sampler = Sampler(env.sim, metrics,
-                              interval=sample_interval, bus=manager.bus)
-            sampler.start()
-
+    if observed is None:
+        return manager.run(limit=limit)
+    observed.start(manager, chaos, chaos_horizon, [(0.0, workflow)])
     try:
         result = manager.run(limit=limit)
     except Exception as exc:
-        if sampler is not None:
-            sampler.stop()
-        if slo_monitor is not None:
-            # judged before the close so final alerts are in-log
-            slo_monitor.finish()
-        if txlog is not None:
-            txlog.close(completed=False, error=repr(exc))
+        observed.abort(exc)
         raise
-    if sampler is not None:
-        sampler.stop()
-    if slo_monitor is not None:
-        # judged before the close so final alerts are in-log
-        slo_monitor.finish(makespan=result.makespan)
-    if txlog is not None:
-        txlog.close(completed=result.completed,
-                    makespan=result.makespan,
-                    tasks_done=result.tasks_done,
-                    task_failures=result.task_failures,
-                    error=result.error)
-    if injector is not None:
-        result.chaos_injections = injector.fired
-    if metrics is not None:
-        result.metrics_registry = metrics
-    if slo_monitor is not None:
-        result.slo_monitor = slo_monitor
-    return result
+    return observed.finish(result)

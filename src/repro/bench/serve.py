@@ -19,9 +19,9 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..facility.tenant import Tenant, TenantQuota
-from ..hep.datasets import TABLE2
 from . import calibration as cal
-from .workloads import build_arrivals, build_workflow, make_schedule
+from .workloads import (build_arrivals, build_workflow, make_schedule,
+                        workload_spec)
 
 __all__ = [
     "with_dynamic_outputs",
@@ -64,12 +64,7 @@ def serve_campaign(n_tenants: int = 4,
     Deterministic in all arguments: the crash/restore equivalence
     tests rebuild the identical campaign on both sides of a kill -9.
     """
-    spec = TABLE2[workload]
-    if scale != 1.0:
-        spec = dataclasses.replace(
-            spec, name=f"{spec.name}-x{scale:g}",
-            n_tasks=max(1, int(spec.n_tasks * scale)),
-            input_bytes=spec.input_bytes * scale)
+    spec = workload_spec(workload, scale)
     workflow = build_workflow(spec, arity=cal.REDUCTION_ARITY,
                               seed=seed)
     if dynamic_every:

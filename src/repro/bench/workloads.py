@@ -11,17 +11,19 @@ spec's mean so that the bulk of tasks lands in the paper's 1-10 s band
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cli import InputError, UnknownName
 from ..core.files import FileKind, SimFile
 from ..core.spec import SimTask, SimWorkflow
-from ..hep.datasets import DatasetSpec
+from ..hep.datasets import TABLE2, DatasetSpec
 from ..sim.rng import RngRegistry
 
 __all__ = [
+    "workload_spec",
     "build_workflow",
     "proc_task_count",
     "Arrival",
@@ -30,8 +32,25 @@ __all__ = [
     "replay_schedule",
     "make_schedule",
     "build_arrivals",
-    "positive",
 ]
+
+
+def workload_spec(name: str, scale: float = 1.0) -> DatasetSpec:
+    """The Table II configuration ``name`` (case-insensitive) with its
+    task count and input bytes scaled by ``scale``; an unknown name
+    raises :class:`~repro.cli.UnknownName`."""
+    by_lower = {key.lower(): key for key in TABLE2}
+    try:
+        spec = TABLE2[by_lower[name.lower()]]
+    except KeyError:
+        raise UnknownName(f"unknown workload {name!r}; "
+                          f"have {sorted(TABLE2)}") from None
+    if scale != 1.0:
+        spec = replace(
+            spec, name=f"{spec.name}-x{scale:g}",
+            n_tasks=max(1, int(spec.n_tasks * scale)),
+            input_bytes=spec.input_bytes * scale)
+    return spec
 
 
 def proc_task_count(total_tasks: int, arity: Optional[int]) -> int:
@@ -228,46 +247,35 @@ def make_schedule(spec: str, tenant_names: Sequence[str],
                   per_tenant: int, seed: int = 11
                   ) -> List[Tuple[float, str]]:
     """Parse an arrival spec: ``poisson:RATE``, ``burst``,
-    ``burst:SPACING``, or ``replay:PATH`` (CSV of ``t,tenant``)."""
+    ``burst:SPACING``, or ``replay:PATH`` (CSV of ``t,tenant``).  A
+    malformed spec raises :class:`~repro.cli.InputError`; an unreadable
+    replay file, ``OSError``."""
     kind, _, arg = spec.partition(":")
-    if kind == "poisson":
-        rate = float(arg) if arg else 0.05
-        return poisson_schedule(tenant_names, rate, per_tenant, seed)
-    if kind == "burst":
-        spacing = float(arg) if arg else 0.0
-        return burst_schedule(tenant_names, per_tenant,
-                              spacing=spacing)
-    if kind == "replay":
-        if not arg:
-            raise ValueError("replay arrival needs a path: replay:FILE")
-        pairs = []
-        with open(arg) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                t, tenant = line.split(",", 1)
-                pairs.append((float(t), tenant.strip()))
-        return replay_schedule(pairs)
-    raise ValueError(f"unknown arrival process {spec!r}; expected "
+    try:
+        if kind == "poisson":
+            rate = float(arg) if arg else 0.05
+            return poisson_schedule(tenant_names, rate, per_tenant, seed)
+        if kind == "burst":
+            spacing = float(arg) if arg else 0.0
+            return burst_schedule(tenant_names, per_tenant,
+                                  spacing=spacing)
+        if kind == "replay":
+            if not arg:
+                raise ValueError("replay arrival needs a path: "
+                                 "replay:FILE")
+            pairs = []
+            with open(arg) as fh:
+                for line in fh:
+                    line = line.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    t, tenant = line.split(",", 1)
+                    pairs.append((float(t), tenant.strip()))
+            return replay_schedule(pairs)
+    except ValueError as exc:
+        raise InputError(f"bad arrival spec {spec!r}: {exc}") from None
+    raise InputError(f"unknown arrival process {spec!r}; expected "
                      f"poisson:RATE, burst[:SPACING], or replay:PATH")
-
-
-def positive(kind: Callable = int, zero_ok: bool = False) -> Callable:
-    """An argparse ``type=`` for worker, tenant and submission counts
-    and workload scales: parses ``kind`` and accepts only finite values
-    > 0 (>= 0 with ``zero_ok``), so a bad value exits 2 at parse time
-    instead of failing mid-run."""
-    def parse(text: str):
-        value = kind(text)
-        if math.isfinite(value) and (value > 0 or (zero_ok and value == 0)):
-            return value
-        # imported here so simulations never load argparse
-        from argparse import ArgumentTypeError
-        raise ArgumentTypeError(
-            f"must be {'>= 0' if zero_ok else '> 0'}, got {text!r}")
-    parse.__name__ = kind.__name__  # argparse's "invalid int value"
-    return parse
 
 
 def build_arrivals(schedule: Sequence[Tuple[float, str]],

@@ -18,21 +18,24 @@ side-by-side resilience scorecard.  ``sweep`` repeats the chaos run at
 scaled intensities to trace a degradation curve.  Background
 preemption is disabled for both runs so the only faults are the
 scenario's.
+
+Exit codes follow the one table in README ("Exit codes"), except that
+a graded run exits 0 even when it did not complete: that DNF under
+faults is the scorecard's finding.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import Optional
 
+from .. import cli
 from ..bench import calibration as cal
 from ..bench.report import format_table, write_report
 from ..bench.runners import build_environment, run_scheduler
-from ..bench.workloads import build_workflow, positive
-from ..hep.datasets import TABLE2
+from ..bench.workloads import build_workflow, workload_spec
 from .inject import estimate_horizon
 from .scenario import SCENARIOS, get_scenario
 from .scorecard import (compare, format_comparison,
@@ -45,21 +48,6 @@ STACKS = {
     "daskdist": "dask.distributed",
     "dask.distributed": "dask.distributed",
 }
-
-
-def _workload_spec(name: str, scale: float):
-    by_lower = {key.lower(): key for key in TABLE2}
-    try:
-        spec = TABLE2[by_lower[name.lower()]]
-    except KeyError:
-        raise SystemExit(f"unknown workload {name!r}; "
-                         f"have {sorted(TABLE2)}")
-    if scale != 1.0:
-        spec = dataclasses.replace(
-            spec, name=f"{spec.name}-x{scale:g}",
-            n_tasks=max(1, int(spec.n_tasks * scale)),
-            input_bytes=spec.input_bytes * scale)
-    return spec
 
 
 def _build(args, spec):
@@ -97,8 +85,7 @@ def _chaos_run(args, spec, scenario, horizon):
     path = _txlog_path(args, spec, f"chaos-{scenario.name}".lower())
     run_scheduler(env, workflow, STACKS[args.stack],
                   txlog_path=path, chaos=scenario,
-                  chaos_horizon=horizon,
-                  slo_policy=getattr(args, "slo", None))
+                  chaos_horizon=horizon, slo_policy=args.slo)
     return score(path), path
 
 
@@ -111,7 +98,7 @@ def _list(args) -> str:
 
 def _run(args) -> str:
     scenario = get_scenario(args.scenario)
-    spec = _workload_spec(args.workload, args.scale)
+    spec = workload_spec(args.workload, args.scale)
     _, baseline_card, horizon, baseline_path = _baseline(args, spec)
     chaos_card, chaos_path = _chaos_run(args, spec, scenario, horizon)
     verdict = compare(baseline_card, chaos_card)
@@ -141,11 +128,10 @@ def _run(args) -> str:
 
 def _sweep(args) -> str:
     scenario = get_scenario(args.scenario)
-    spec = _workload_spec(args.workload, args.scale)
+    spec = workload_spec(args.workload, args.scale)
     _, baseline_card, horizon, _ = _baseline(args, spec)
-    intensities = [float(x) for x in args.intensities.split(",")]
     rows = []
-    for intensity in intensities:
+    for intensity in args.intensities:
         card, _ = _chaos_run(args, spec, scenario.scaled(intensity),
                              horizon)
         verdict = compare(baseline_card, card)
@@ -166,30 +152,28 @@ def _sweep(args) -> str:
               f"{scenario.name} (baseline {baseline_card.makespan:.0f} s)")
 
 
+def _float_list(text: str) -> list:
+    return [float(x) for x in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.chaos",
         description="Deterministic fault injection with a resilience "
-                    "scorecard.")
+                    "scorecard.",
+        parents=[cli.run_options(workers=60, txlog=None)],
+        epilog="exit codes (README): 0 the run was graded, even when it "
+               "did not complete under faults (that DNF is the "
+               "finding); 2 unreadable input")
     parser.add_argument("command", choices=("run", "sweep", "list"))
     parser.add_argument("--scenario", default="smoke",
                         help="scenario name (see `list`)")
     parser.add_argument("--stack", default="taskvine",
                         choices=sorted(STACKS),
                         help="scheduler stack to break")
-    parser.add_argument("--workload", default="DV3-Small",
-                        help="Table II configuration "
-                             "(case-insensitive)")
-    parser.add_argument("--workers", type=positive(int), default=60)
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--scale", type=positive(float), default=1.0,
-                        help="scale n_tasks and input bytes")
     parser.add_argument("--intensities", default="0.5,1.0,1.5,2.0",
+                        type=_float_list,
                         help="comma-separated scale factors for sweep")
-    parser.add_argument("--slo", default=None, metavar="POLICY",
-                        help="monitor a JSON SLO policy during the "
-                             "chaos run; alerts land in the txlog and "
-                             "are graded in the scorecard")
     parser.add_argument("--out", default="results/chaos",
                         help="directory for txlogs and reports")
     return parser
@@ -198,19 +182,18 @@ def build_parser() -> argparse.ArgumentParser:
 COMMANDS = {"run": _run, "sweep": _sweep, "list": _list}
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    # SIGTERM/SIGINT flush + terminate any open txlog so a stopped
-    # run never leaves an unterminated tail behind (repro.obs.txlog)
-    from ..obs.txlog import install_signal_handlers
-    install_signal_handlers()
+def _main(args) -> int:
     report = COMMANDS[args.command](args)
     print(report)
     if args.command != "list":
         write_report(args.out,
                      f"{args.command}-{args.workload}-{args.stack}-"
                      f"{args.scenario}".lower(), report)
-    return 0
+    return cli.EXIT_OK
+
+
+def main(argv: Optional[list] = None) -> int:
+    return cli.main(build_parser(), _main, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

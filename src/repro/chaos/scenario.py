@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Tuple
 
+from ..cli import UnknownName
+
 __all__ = [
     "Injection",
     "PreemptionStorm",
@@ -259,6 +261,6 @@ def get_scenario(name: str) -> Scenario:
     """Look up a named scenario (case-insensitive)."""
     scenario = SCENARIOS.get(name) or SCENARIOS.get(name.lower())
     if scenario is None:
-        raise KeyError(f"unknown scenario {name!r}; "
-                       f"have {sorted(SCENARIOS)}")
+        raise UnknownName(f"unknown scenario {name!r}; "
+                          f"have {sorted(SCENARIOS)}")
     return scenario

@@ -12,35 +12,28 @@ also exercises the cross-tenant shared cache; the report's slowdown
 column is measured against one isolated run of the same DAG on an
 identical idle cluster (skip with ``--no-baseline``).
 
-Exit codes (the :mod:`repro.obs` CLI convention):
-
-* 0 -- the campaign completed; every admitted submission finished.
-* 2 -- unreadable input (unknown workload, bad arrival replay file,
-  a count or scale out of range).
-* 3 -- the campaign ran but did not complete.
+Exit codes follow the one table in :mod:`repro.cli` (README "Exit
+codes"): 0 the campaign completed; 2 unreadable input (unknown
+workload, bad arrival spec or replay file, bad SLO policy, a count or
+scale out of range); 3 the campaign ran but did not complete.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Optional
 
+from .. import cli
 from ..bench.runners import build_environment, run_scheduler
 from ..bench.workloads import build_arrivals, build_workflow, \
-    make_schedule, positive
+    make_schedule, workload_spec
 from ..bench import calibration as cal
-from ..hep.datasets import TABLE2
-from ..obs.txlog import install_signal_handlers
+from ..cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_UNREADABLE  # noqa: F401
 from .facility import Facility
 from .report import facility_report_data, render_facility_report
 from .tenant import Tenant, TenantQuota
-
-EXIT_OK = 0
-EXIT_UNREADABLE = 2
-EXIT_INCOMPLETE = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,37 +41,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.facility",
         description="Run a multi-tenant arrival trace on one shared "
                     "manager and print the fairness/SLO report.",
-        epilog="exit codes: 0 completed, 2 unreadable input, "
+        parents=[cli.run_options(workers=8, scale=0.05)],
+        epilog="exit codes (README): 0 completed, 2 unreadable input, "
                "3 campaign incomplete")
-    parser.add_argument("--tenants", type=positive(int), default=4,
+    parser.add_argument("--tenants", type=cli.positive(int), default=4,
                         help="number of concurrent tenants (default 4)")
     parser.add_argument("--arrival", default="poisson:0.05",
                         help="arrival process: poisson:RATE, "
                              "burst[:SPACING], replay:PATH "
                              "(default poisson:0.05)")
-    parser.add_argument("--submissions", type=positive(int), default=1,
+    parser.add_argument("--submissions", type=cli.positive(int),
+                        default=1,
                         help="submissions per tenant (default 1)")
     parser.add_argument("--discipline", default="wfs",
                         choices=("wfs", "fifo", "priority"),
                         help="fair-share discipline (default wfs)")
-    parser.add_argument("--workload", default="DV3-Small",
-                        help="Table II configuration (default "
-                             "DV3-Small)")
-    parser.add_argument("--scale", type=positive(float), default=0.05,
-                        help="scale n_tasks/input bytes (default 0.05)")
-    parser.add_argument("--workers", type=positive(int), default=8)
-    parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--inflight-quota", type=int, default=None,
                         help="per-tenant inflight-task quota "
                              "(default unlimited)")
-    parser.add_argument("--txlog", default=None,
-                        help="write the facility's JSONL transaction "
-                             "log here")
-    parser.add_argument("--slo", default=None, metavar="POLICY",
-                        help="monitor a JSON SLO policy during the "
-                             "run; per-tenant rule states are "
-                             "reported and alerts stamped into the "
-                             "txlog (see repro.obs.slo)")
     parser.add_argument("--no-baseline", action="store_true",
                         help="skip the isolated baseline run (slowdown "
                              "falls back to fastest observed turnaround)")
@@ -88,32 +68,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    install_signal_handlers()
-    try:
-        spec = TABLE2[args.workload]
-    except KeyError:
-        print(f"error: unknown workload {args.workload!r}; "
-              f"have {sorted(TABLE2)}", file=sys.stderr)
-        return EXIT_UNREADABLE
-    if args.scale != 1.0:
-        spec = dataclasses.replace(
-            spec, name=f"{spec.name}-x{args.scale:g}",
-            n_tasks=max(1, int(spec.n_tasks * args.scale)),
-            input_bytes=spec.input_bytes * args.scale)
+def _main(args) -> int:
+    spec = workload_spec(args.workload, args.scale)
     workflow = build_workflow(spec, arity=cal.REDUCTION_ARITY,
                               seed=args.seed)
 
     tenant_names = [f"t{i}" for i in range(args.tenants)]
     quota = TenantQuota(inflight_tasks=args.inflight_quota)
     tenants = [Tenant(name, quota=quota) for name in tenant_names]
-    try:
-        schedule = make_schedule(args.arrival, tenant_names,
-                                 args.submissions, seed=args.seed)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
+    schedule = make_schedule(args.arrival, tenant_names,
+                             args.submissions, seed=args.seed)
     arrivals = build_arrivals(schedule, lambda tenant: workflow,
                               tag_for=lambda tenant: spec.name)
 
@@ -149,6 +113,10 @@ def main(argv: Optional[list] = None) -> int:
         print(f"\ntransaction log -> {args.txlog} "
               f"(analyze: python -m repro.obs {args.txlog})")
     return EXIT_OK if result.completed else EXIT_INCOMPLETE
+
+
+def main(argv: Optional[list] = None) -> int:
+    return cli.main(build_parser(), _main, argv)
 
 
 def _tenant_chains(txlog_path: str) -> str:

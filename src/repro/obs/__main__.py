@@ -18,9 +18,10 @@ transfer-hotspot, cache-pressure and critical-path reports -- as
 terminal tables, or as one JSON document with ``--json`` so CI and
 other tools can consume the same analyses machine-readably.
 
-Exit codes: ``0`` report produced; ``2`` the log is unreadable or
-empty; ``3`` (with ``--strict``) the log's run did not complete --
-aborted, crashed, or truncated before the RUN_END footer.
+Exit codes follow the one table in :mod:`repro.cli` (README "Exit
+codes"): ``0`` report produced; ``2`` the log is unreadable or empty;
+``3`` (with ``--strict``) the log's run did not complete -- aborted,
+crashed, or truncated before the RUN_END footer.
 """
 
 from __future__ import annotations
@@ -30,14 +31,11 @@ import json
 import sys
 from typing import Optional
 
+from .. import cli
+from ..cli import EXIT_INCOMPLETE, EXIT_OK, InputError
 from . import analyze
 
 SECTIONS = analyze.SECTIONS
-
-#: exit codes (documented above; tested in tests/obs/test_cli.py)
-EXIT_OK = 0
-EXIT_UNREADABLE = 2
-EXIT_INCOMPLETE = 3
 
 
 def _demo_run(path: str) -> None:
@@ -101,7 +99,7 @@ def _run_completed(log: "analyze.RunLog") -> bool:
     return bool(footers[-1].get("completed", True))
 
 
-def _diff_main(argv: list) -> int:
+def _diff_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs diff",
         description="Attribute the makespan delta between two runs "
@@ -111,14 +109,12 @@ def _diff_main(argv: list) -> int:
     parser.add_argument("--top", type=int, default=10)
     parser.add_argument("--json", action="store_true",
                         help="emit the full diff as JSON")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def _diff(args) -> int:
     from .diff import diff_runs, render_diff
-    try:
-        result = diff_runs(args.baseline, args.candidate,
-                           top=args.top)
-    except OSError as exc:
-        print(f"cannot read txlog: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
+    result = diff_runs(args.baseline, args.candidate, top=args.top)
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True,
                          default=str))
@@ -136,8 +132,11 @@ def main(argv: Optional[list] = None) -> int:
         from .watch import main as watch_main
         return watch_main(argv[1:])
     if argv[:1] == ["diff"]:
-        return _diff_main(argv[1:])
-    args = build_parser().parse_args(argv)
+        return cli.main(_diff_parser(), _diff, argv[1:])
+    return cli.main(build_parser(), _analyze, argv)
+
+
+def _analyze(args) -> int:
     if args.demo:
         _demo_run(args.log)
     sections = args.section
@@ -146,12 +145,10 @@ def main(argv: Optional[list] = None) -> int:
     try:
         log = analyze.load(args.log)
     except OSError as exc:
-        print(f"cannot read {args.log}: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
+        raise InputError(f"cannot read {args.log}: {exc}") from None
     if not log.records:
-        print(f"{args.log}: no records (not a transaction log?)",
-              file=sys.stderr)
-        return EXIT_UNREADABLE
+        raise InputError(f"{args.log}: no records "
+                         f"(not a transaction log?)")
     status = log.read_status
     if status is not None and (status.skipped or status.partial_tail
                                or not status.complete):

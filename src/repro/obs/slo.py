@@ -50,10 +50,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Union
 
+from ..cli import InputError
 from . import events as ev
 
 __all__ = ["SLORule", "SLOPolicy", "SLOMonitor", "NULL_SLO_MONITOR",
-           "NullSLOMonitor", "RULE_KINDS", "evaluate",
+           "NullSLOMonitor", "RULE_KINDS", "evaluate", "load_policy",
            "render_slo_report"]
 
 #: rule kinds the monitor understands, and the bus events they watch
@@ -139,6 +140,22 @@ class SLOPolicy:
         return bool(self.rules)
 
 
+def load_policy(policy: Union[SLOPolicy, str, None]
+                ) -> Optional[SLOPolicy]:
+    """The one SLO-policy loader: a policy as given, or the policy in
+    the JSON file at that path.  An unreadable or invalid file raises
+    :class:`~repro.cli.InputError`, so callers validate a policy before
+    they open anything."""
+    if policy is None or isinstance(policy, SLOPolicy):
+        return policy
+    try:
+        return SLOPolicy.from_file(policy)
+    except (OSError, ValueError, TypeError, KeyError,
+            AttributeError) as exc:  # AttributeError: not a JSON object
+        raise InputError(f"cannot load SLO policy {policy}: {exc}") \
+            from None
+
+
 class _RuleState:
     """Mutable per-rule tracking (per-tenant where applicable)."""
 
@@ -172,7 +189,8 @@ class NullSLOMonitor:
     def prime(self, tasks_done: int, t: float = 0.0) -> None:
         pass
 
-    def finish(self, t: Optional[float] = None) -> list:
+    def finish(self, t: Optional[float] = None,
+               makespan: Optional[float] = None) -> list:
         return []
 
     def states(self) -> dict:

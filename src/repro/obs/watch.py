@@ -17,8 +17,9 @@ once the run has finished.
 stream as it arrives (independent of any monitoring the run itself
 did) and appends the rule table to every frame.
 
-Exit codes: ``0`` run complete (or snapshot printed); ``2`` no
-records; ``3`` follow mode gave up (``--timeout``) before RUN_END.
+Exit codes (README "Exit codes"): ``0`` run complete (or snapshot
+printed); ``2`` no records or a bad ``--slo`` policy; ``3`` follow
+mode gave up (``--timeout``) before RUN_END.
 """
 
 from __future__ import annotations
@@ -29,13 +30,11 @@ import sys
 import time
 from typing import Optional
 
+from .. import cli
+from ..cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_UNREADABLE  # noqa: F401
 from . import events as ev
 from .live import LiveAnalyzer
 from .txlog import TailReader
-
-EXIT_OK = 0
-EXIT_UNREADABLE = 2
-EXIT_INCOMPLETE = 3
 
 #: ANSI: cursor home + clear to end of screen (refresh in place)
 _CLEAR = "\x1b[H\x1b[J"
@@ -75,18 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    return cli.main(build_parser(), _watch, argv)
 
+
+def _watch(args) -> int:
     monitor = None
-    if args.slo:
-        from .slo import SLOMonitor, SLOPolicy
-        try:
-            policy = SLOPolicy.from_file(args.slo)
-        except (OSError, ValueError, TypeError, KeyError) as exc:
-            print(f"cannot load SLO policy {args.slo}: {exc}",
-                  file=sys.stderr)
-            return EXIT_UNREADABLE
-        monitor = SLOMonitor(policy)
+    if args.slo is not None:
+        from .slo import SLOMonitor
+        monitor = SLOMonitor(args.slo)
 
     live = LiveAnalyzer()
     top = args.top if args.top is not None else 5
@@ -124,9 +119,8 @@ def main(argv: Optional[list] = None) -> int:
         status = reader.status
 
     if status.records == 0:
-        print(f"{args.log}: no records (not a transaction log?)",
-              file=sys.stderr)
-        return EXIT_UNREADABLE
+        raise cli.InputError(f"{args.log}: no records "
+                             f"(not a transaction log?)")
 
     if monitor is not None:
         if live.complete:

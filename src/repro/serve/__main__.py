@@ -16,13 +16,11 @@ deterministic stand-in for ``kill -9`` the CI serve-smoke job and the
 crash/restore tests use.  ``restore`` rebuilds the environment from
 the checkpoint's embedded recipe and resumes at epoch N+1.
 
-Exit codes (the :mod:`repro.obs` CLI convention):
-
-* 0 -- run/restore completed; every submission serviced.
-* 2 -- unreadable input (missing/corrupt checkpoint, a count or
-  scale out of range).
-* 3 -- the campaign did not complete (DNF).
-* 137 -- ``--exit-after-tasks`` fired (simulated SIGKILL).
+Exit codes follow the one table in :mod:`repro.cli` (README "Exit
+codes"): 0 run/restore completed, every submission serviced; 2
+unreadable input (unknown workload, bad arrival spec or SLO policy,
+missing or corrupt checkpoint, a count or scale out of range); 3 the
+campaign did not complete; 137 ``--exit-after-tasks`` fired.
 """
 
 from __future__ import annotations
@@ -34,20 +32,15 @@ import os
 import sys
 from typing import Optional
 
+from .. import cli
 from ..bench.runners import build_environment
 from ..bench.serve import serve_campaign
-from ..bench.workloads import positive
+from ..cli import EXIT_INCOMPLETE, EXIT_KILLED, EXIT_OK
 from ..facility.report import fairness_summary
-from ..obs.txlog import install_signal_handlers
 from .checkpoint import (CheckpointError, load_checkpoint,
                          restore_service, tenant_summaries)
 from .client import run_campaign
 from .service import FacilityService
-
-EXIT_OK = 0
-EXIT_UNREADABLE = 2
-EXIT_INCOMPLETE = 3
-EXIT_KILLED = 137
 
 _ENV_KEYS = ("tenants", "submissions", "workload", "scale", "arrival",
              "workers", "seed", "dynamic_every", "inflight_quota",
@@ -63,27 +56,22 @@ def build_parser() -> argparse.ArgumentParser:
                "3 campaign incomplete, 137 simulated SIGKILL")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="drive a campaign through the "
-                                     "live service")
-    run.add_argument("--tenants", type=positive(int), default=4)
-    run.add_argument("--submissions", type=positive(int), default=2,
+    run = sub.add_parser(
+        "run", help="drive a campaign through the live service",
+        parents=[cli.run_options(workers=4, scale=0.02,
+                                 txlog="required")])
+    run.add_argument("--tenants", type=cli.positive(int), default=4)
+    run.add_argument("--submissions", type=cli.positive(int), default=2,
                      help="submissions per tenant (default 2)")
-    run.add_argument("--workload", default="DV3-Small")
-    run.add_argument("--scale", type=positive(float), default=0.02)
     run.add_argument("--arrival", default="burst",
                      help="poisson:RATE | burst[:SPACING] | "
                           "replay:PATH (default burst)")
-    run.add_argument("--workers", type=positive(int), default=4)
-    run.add_argument("--seed", type=int, default=11)
     run.add_argument("--discipline", default="wfs",
                      choices=("wfs", "fifo", "priority"))
     run.add_argument("--dynamic-every", type=int, default=3,
                      help="every Nth task also commits an undeclared "
                           "result file (0 disables; default 3)")
     run.add_argument("--inflight-quota", type=int, default=None)
-    run.add_argument("--txlog", required=True,
-                     help="transaction log path (autoflushed, "
-                          "epoch 1)")
     run.add_argument("--checkpoint", default=None,
                      help="checkpoint sidecar path")
     run.add_argument("--checkpoint-every", type=int, default=None,
@@ -92,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--exit-after-tasks", type=int, default=None,
                      metavar="N",
                      help="simulate kill -9 after the Nth commit")
-    run.add_argument("--slo", default=None, metavar="POLICY")
     run.add_argument("--json", action="store_true",
                      help="machine-readable report on stdout")
 
@@ -152,12 +139,6 @@ def _report(service: FacilityService, result, as_json: bool) -> None:
 
 
 async def _run(args) -> int:
-    from ..hep.datasets import TABLE2
-    if args.workload not in TABLE2:
-        print(f"error: unknown workload {args.workload!r} "
-              f"(choose from {', '.join(sorted(TABLE2))})",
-              file=sys.stderr)
-        return EXIT_UNREADABLE
     tenants, arrivals = serve_campaign(
         n_tenants=args.tenants, per_tenant=args.submissions,
         workload=args.workload, scale=args.scale,
@@ -211,16 +192,14 @@ async def _restore(args) -> int:
     return EXIT_OK if result.completed else EXIT_INCOMPLETE
 
 
+def _main(args) -> int:
+    if args.command == "run":
+        return asyncio.run(_run(args))
+    return asyncio.run(_restore(args))
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    install_signal_handlers()
-    try:
-        if args.command == "run":
-            return asyncio.run(_run(args))
-        return asyncio.run(_restore(args))
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
+    return cli.main(build_parser(), _main, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

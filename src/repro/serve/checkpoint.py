@@ -43,6 +43,7 @@ import os
 import tempfile
 from typing import Dict, Iterable, List, Optional, Set
 
+from ..cli import InputError
 from ..core.files import SimFile
 from ..core.manager import MANAGER_NODE
 from ..core.spec import SimTask, SimWorkflow
@@ -67,7 +68,7 @@ __all__ = [
 CHECKPOINT_VERSION = 1
 
 
-class CheckpointError(Exception):
+class CheckpointError(InputError):
     """Unreadable or structurally invalid checkpoint."""
 
 
@@ -400,7 +401,7 @@ async def restore_service(path: str, env, tenants, *,
                             _retain_at_restore(composite, name, done)))
     manager.restore_committed(done, replica_nodes, cache_entries)
     manager.submission_added(all_ids, all_files)
-    slo = facility.slo_monitor
+    slo = facility.observed.slo_monitor
     if slo is not None and getattr(slo, "enabled", False):
         # committed progress never crosses this epoch's bus
         slo.prime(len(done), t=sim.now)

@@ -35,9 +35,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..facility.facility import Facility, FacilityResult
 from ..facility.tenant import Queued, Rejected
-from ..obs import TransactionLog
 from ..obs import events as obs
-from ..obs.live import LiveAnalyzer, NULL_LIVE_ANALYZER
 from .checkpoint import CheckpointFolds, workflow_to_dict
 from .futures import SubmissionFuture
 
@@ -74,47 +72,31 @@ class FacilityService:
                  checkpoint_path: Optional[str] = None,
                  checkpoint_every: Optional[int] = None,
                  slice_events: int = 512,
-                 live: bool = False,
                  **facility_kwargs):
         self.env = env
         self.sim = env.sim
         self.epoch = int(epoch)
         self.txlog_path = txlog_path
-        txlog = None
-        if txlog_path is not None:
-            meta = {"scheduler": "taskvine",
-                    "facility": True,
-                    "serve": True,
-                    "discipline": discipline,
-                    "n_workers": env.n_workers,
-                    "cores_per_worker": env.cores_per_worker,
-                    "tenants": sorted(t.name for t in tenants)}
-            meta.update(txlog_meta or {})
-            # autoflush: a kill -9 loses at most the record in flight,
-            # never a committed one -- the restore contract.
-            txlog = TransactionLog(txlog_path, meta=meta,
-                                   epoch=self.epoch, autoflush=True)
         self.facility = Facility(env, tenants, discipline=discipline,
-                                 config=config, txlog=txlog,
+                                 config=config, txlog_path=txlog_path,
+                                 txlog_meta=txlog_meta, epoch=self.epoch,
                                  slo_policy=slo_policy,
                                  **facility_kwargs)
         self.manager = self.facility.manager
         self.bus = self.facility.bus
-        self.txlog = self.facility.txlog
+        self.txlog = self.facility.observed.txlog
         #: restore state folded from the event stream the txlog
         #: records, live: seeded with the RUN header (which never
         #: crosses the bus), then subscribed right behind the log
         self.checkpoint_folds: Optional[CheckpointFolds] = None
-        if txlog is not None:
+        if self.txlog is not None:
             self.checkpoint_folds = CheckpointFolds()
-            self.checkpoint_folds.add(txlog.header)
+            self.checkpoint_folds.add(self.txlog.header)
             self.bus.subscribe_all(self.checkpoint_folds.on_event)
         self.checkpoint_path = checkpoint_path
         #: checkpoint automatically every N committed tasks
         self.checkpoint_every = checkpoint_every
         self.slice_events = max(1, int(slice_events))
-        self.live = (LiveAnalyzer.install(self.bus) if live
-                     else NULL_LIVE_ANALYZER)
 
         #: sid -> SubmissionFuture for every non-rejected submission
         self.futures: Dict[str, SubmissionFuture] = {}
@@ -289,7 +271,7 @@ class FacilityService:
             # exception must reach the loop so the process exits
             raise
         except BaseException as exc:
-            self.facility.abort(exc)
+            self.facility.observed.abort(exc)
             for fut in self.futures.values():
                 fut._failed(exc)
             # arrivals not yet injected: their clients await too
