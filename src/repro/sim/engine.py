@@ -17,6 +17,7 @@ ties), so repeated runs with the same seed produce identical traces.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from bisect import insort
 from heapq import heappop, heappush
@@ -279,6 +280,9 @@ class Process(Event):
                     self._target = None
                     self.succeed(stop.value)
                     return
+                except (SystemExit, KeyboardInterrupt):
+                    # a signal, not a process error: unwind the loop
+                    raise
                 except BaseException as exc:
                     # The generator raised (or re-raised an interrupt)
                     # without handling it: the process dies with that
@@ -491,10 +495,16 @@ class Simulation:
                 f"until={until!r} is in the past (now={self._now!r})")
         heap = self._heap
         step = self.step
-        while heap:
-            if until is not None and heap[0][0] > until:
-                break
-            step()
+        gc_was_enabled = gc.isenabled()
+        gc.disable()  # see run_until_complete
+        try:
+            while heap:
+                if until is not None and heap[0][0] > until:
+                    break
+                step()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         if until is not None and self._now < until:
             self._now = until
 
@@ -508,8 +518,12 @@ class Simulation:
         # The main driver loop: step() is inlined here (and the event
         # counter batched) because this processes every event of a full
         # run -- per-event call overhead is the kernel's constant factor.
+        # The kernel makes no reference cycles, so the cyclic collector
+        # would only walk the live run: it waits (test_cyclic_garbage.py).
         heap = self._heap
         processed = 0
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             while event.callbacks is not None:  # i.e. not yet processed
                 if not heap:
@@ -542,6 +556,8 @@ class Simulation:
                     raise ev._value
         finally:
             self.events_processed += processed
+            if gc_was_enabled:
+                gc.enable()
         if event._ok:
             return event._value
         raise event._value
@@ -629,7 +645,7 @@ class Resource:
         while queue and len(users) < self.capacity:
             req = queue.pop(0)
             users.add(req)
-            req.succeed(req)
+            req.succeed()
 
 
 class Preempted(Exception):

@@ -19,13 +19,14 @@ from repro.bench.runners import build_environment, run_scheduler
 from repro.bench.stacks import run_stack
 from repro.bench.workloads import build_workflow
 from repro.hep.datasets import TABLE2
-from repro.obs.events import NULL_BUS, NullBus
+from repro.obs.events import NULL_BUS, EventBus, NullBus
 from repro.obs.live import (LiveAnalyzer, NULL_LIVE_ANALYZER,
                             NullLiveAnalyzer)
 from repro.obs.slo import (NULL_SLO_MONITOR, NullSLOMonitor,
                            SLOMonitor, SLOPolicy)
 from repro.obs.trace import (NULL_SPAN_RECORDER, NullSpanRecorder,
                              SpanRecorder)
+from repro.obs.txlog import TransactionLog
 
 REPEATS = 5
 MAX_OVERHEAD = 1.02
@@ -79,6 +80,35 @@ class TestRunOverhead:
             f"tracing-off run {ratio:.3f}x slower than plain "
             f"(plain {min(plain):.4f}s, off {min(off):.4f}s, "
             f"{len(off)} samples per arm)")
+
+
+class TestRunNoOpPath:
+    """The deterministic half of the bound above: the tracing-off smoke
+    run emits no event on any bus and opens no transaction log, so
+    what it can cost beyond the plain run is the guards alone."""
+
+    def test_tracing_off_run_emits_and_writes_nothing(self, monkeypatch):
+        emitted, opened = [], []
+
+        def counted(cls):
+            real = cls.emit
+
+            def emit(self, type, t, **fields):
+                emitted.append((cls.__name__, type))
+                real(self, type, t, **fields)
+            return emit
+
+        for cls in (EventBus, NullBus):
+            monkeypatch.setattr(cls, "emit", counted(cls))
+        real_init = TransactionLog.__init__
+
+        def init(self, *args, **kwargs):
+            opened.append(args or kwargs)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TransactionLog, "__init__", init)
+        smoke_run(True)
+        assert emitted == [] and opened == []
 
 
 class TestNoAllocStubs:

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
+import contextlib
+import gc
+
 import pytest
 
 from repro.sim.engine import (
@@ -651,3 +654,110 @@ class TestDeterminism:
         first = build_and_run()
         second = build_and_run()
         assert first == second
+
+
+# -- how a process can end a kernel loop -------------------------------------
+def _returns(sim):
+    yield sim.timeout(1)
+    return 7
+
+
+def _overruns(sim):
+    yield sim.timeout(100)
+
+
+def _deadlocks(sim):
+    yield sim.event()
+
+
+def _raises(sim):
+    yield sim.timeout(1)
+    raise ValueError("unhandled")
+
+
+def _exits(sim):
+    yield sim.timeout(1)
+    raise SystemExit(143)
+
+
+LOOPS = ("run_until_complete", "run")
+
+#: process body -> what run_until_complete(p, limit=10) and
+#: run(until=10) raise (None: they return)
+ENDINGS = {
+    _returns: (None, None),
+    _overruns: (SimulationError, None),   # past the limit
+    _deadlocks: (SimulationError, None),  # the heap drained first
+    _raises: (ValueError, ValueError),
+    _exits: (SystemExit, SystemExit),
+}
+
+
+@pytest.fixture
+def collector():
+    """Hand the cyclic collector back as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """The two kernel loops run with the cyclic collector paused and
+    restore the caller's setting however they end (DESIGN.md,
+    "Performance engineering")."""
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["caller-enabled", "caller-disabled"])
+    @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize("body", ENDINGS,
+                             ids=lambda body: body.__name__[1:])
+    def test_paused_inside_restored_after(self, collector, body, loop,
+                                          enabled):
+        raises = ENDINGS[body][LOOPS.index(loop)]
+        (gc.enable if enabled else gc.disable)()
+        sim = Simulation()
+        seen = []
+
+        def proc():
+            seen.append(gc.isenabled())
+            return (yield from body(sim))
+
+        p = sim.process(proc())
+        expect = (pytest.raises(raises) if raises
+                  else contextlib.nullcontext())
+        with expect:
+            if loop == "run":
+                sim.run(until=10)
+            else:
+                sim.run_until_complete(p, limit=10)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+
+class TestExitSignals:
+    """``SystemExit`` and ``KeyboardInterrupt`` raised inside a process
+    unwind the kernel loop.  Turned into a process failure they could
+    reach nothing once the waiter had moved on (a SIGTERM deferred
+    inside a txlog write raises exactly this ``SystemExit``)."""
+
+    @pytest.mark.parametrize("signal", [SystemExit(143),
+                                        KeyboardInterrupt()],
+                             ids=["SystemExit", "KeyboardInterrupt"])
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_signal_after_waiter_moved_on(self, sim, loop, signal):
+        def child():
+            yield sim.timeout(2)
+            raise signal
+
+        def parent():
+            yield sim.timeout(1) | sim.process(child())
+            yield sim.timeout(5)
+
+        p = sim.process(parent())
+        with pytest.raises(type(signal)) as caught:
+            if loop == "run_until_complete":
+                sim.run_until_complete(p)
+            else:
+                sim.run()
+        assert caught.value is signal
+        assert sim.now == 2 and p.is_alive
